@@ -13,8 +13,8 @@ Exit codes: 0 success, 2 invalid input, 3 convergence failure, 4 invariant
 violation (including failed verification checks).
 
 A plain-text config file of `key = value` lines can be passed via --config;
-explicit command-line flags take precedence.  MONOPOLE_SPECTRA_THREADS caps
-the worker count of grid sweeps.
+explicit command-line flags take precedence.  Keys must name an option of the
+subcommand, and every numeric value, from a flag or the file, must be finite.
 """
 from __future__ import annotations
 
@@ -22,9 +22,8 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -49,24 +48,6 @@ RESIDUAL_TOL = 1e-7
 ALGEBRA_RTOL = 1e-9
 CASIMIR_SCALAR_RTOL = 1e-8
 IDENTITY_RTOL = 1e-12
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("MONOPOLE_SPECTRA_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else min(8, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    items = list(items)
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items))
 
 
 def relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -196,15 +177,25 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+# namespace entries that select the subcommand or name the config file itself
+NOT_CONFIGURABLE = {"command", "system", "what", "config"}
+
+
+def check_config_keys(cfg: dict, args: argparse.Namespace) -> None:
+    unknown = sorted(set(cfg) - (set(vars(args)) - NOT_CONFIGURABLE))
+    if unknown:
+        raise ValueError(f"unknown config key(s) for this command: {', '.join(unknown)}")
+
+
 def resolve(args: argparse.Namespace, name: str, cast, default):
-    """CLI flag beats config file beats hard default."""
-    cli_val = getattr(args, name, None)
-    if cli_val is not None:
-        return cli_val
-    cfg = getattr(args, "_cfg", {})
-    if name in cfg:
-        return cast(cfg[name])
-    return default
+    """CLI flag beats config file beats hard default; numbers must be finite."""
+    value = getattr(args, name, None)
+    if value is None:
+        cfg = getattr(args, "_cfg", {})
+        value = cast(cfg[name]) if name in cfg else default
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def model_params(args) -> ModelParams:
@@ -311,6 +302,8 @@ def _ode_table(got: np.ndarray, want: np.ndarray, label: str) -> list[dict]:
 def cmd_verify_ode(args, argv) -> tuple[dict, int]:
     picture = resolve(args, "picture", str, "kepler-radial")
     k = resolve(args, "levels", int, 3)
+    if k < 1:
+        raise ValueError(f"levels must be at least 1, got {k}")
     mesh = resolve(args, "mesh", int, 2000)
     params = model_params(args)
     omega = resolve(args, "omega", float, 1.0)
@@ -401,22 +394,18 @@ def cmd_verify_duality(args, argv) -> tuple[dict, int]:
                     for lam_extra in range(nmax + 1):
                         points.append((c1v, c2v, z, n, lam_extra))
 
-    def identity_diff(pt) -> float:
-        c1v, c2v, z, n, lam_extra = pt
+    identity_worst = 0.0
+    for c1v, c2v, z, n, lam_extra in points:
         p = ModelParams(c0=1.0, c1=c1v, c2=c2v)
         lam = int(2 * z + lam_extra)
-        worst = 0.0
-        labels_h = dict(n=n, lam=lam, J=z, L=z)
-        worst = max(worst, duality.spectrum_identity_check("hyperspherical", labels_h, p).rel_diff)
-        worst = max(worst, duality.spectrum_identity_check(
-            "euler", dict(n=n, lam=lam, T=z, K=z), p).rel_diff)
-        labels_p = dict(n1=n, n2=lam_extra, J=z, L=z)
-        worst = max(worst, duality.spectrum_identity_check("parabolic", labels_p, p).rel_diff)
-        worst = max(worst, duality.spectrum_identity_check(
-            "cylindrical", dict(n1=n, n2=lam_extra, T=z, K=z), p).rel_diff)
-        return worst
-
-    identity_worst = max(parallel_map(identity_diff, points))
+        for picture, labels in (
+            ("hyperspherical", dict(n=n, lam=lam, J=z, L=z)),
+            ("euler", dict(n=n, lam=lam, T=z, K=z)),
+            ("parabolic", dict(n1=n, n2=lam_extra, J=z, L=z)),
+            ("cylindrical", dict(n1=n, n2=lam_extra, T=z, K=z)),
+        ):
+            identity_worst = max(identity_worst, duality.spectrum_identity_check(
+                picture, labels, p).rel_diff)
     results = [
         row({"quantity": "roundtrip_max_ulp"}, roundtrip_ulp),
         row({"quantity": "identity_max_rel_diff"}, identity_worst),
@@ -599,7 +588,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad input, 0 on --help/--version
         return int(exc.code or 0)
     try:
-        args._cfg = load_config(args.config) if getattr(args, "config", None) else {}
+        cfg = load_config(args.config) if getattr(args, "config", None) else {}
+        check_config_keys(cfg, args)
+        args._cfg = cfg
         if args.command == "spectrum":
             handler = {"kepler5d": cmd_spectrum_kepler5d, "osc8d": cmd_spectrum_osc8d}[args.system]
         else:
@@ -611,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
             }[args.what]
         envelope, code = handler(args, ["monopole-spectra"] + argv)
         fmt = resolve(args, "format", str, "json")
-        emit(envelope, fmt, getattr(args, "out", None))
+        emit(envelope, fmt, resolve(args, "out", str, None))
         return code
     except (ConvergenceFailure, NoIntersection) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import aux_exponents
-from .errors import NonNegativeEnergy
+from .errors import NegativeRadicand, NonNegativeEnergy
 from .params import ModelParams, QuantumNumbers
 from .specfun import delta_exponents
 
@@ -164,7 +164,7 @@ def delta_m_match(
         m = aux_exponents(params, QuantumNumbers(l4=l4, T=T))
         m1, m2 = m.m1, m.m2
         ok = abs(d.delta1 - m1) <= tol and abs(d.delta2 - m2) <= tol
-    except Exception:
+    except NegativeRadicand:
         m1 = m2 = float("nan")
         ok = False
     return DeltaMatch(J, L, l4, T, d.delta1, d.delta2, m1, m2, ok)
@@ -192,12 +192,3 @@ def enumerate_delta_m_matches(
                     r = delta_m_match(params, J, L, l4, T, tol)
                     (matched if r.matches else excluded).append(r)
     return matched, excluded
-
-
-def energy_from_oscillator_level(
-    n: int, lam_eff: float, omega: float, hbar: float = 1.0
-) -> tuple[float, float]:
-    """(epsilon, dual Kepler E) of an 8D level with effective exponent lam_eff."""
-    eps = 2.0 * hbar * omega * (n + lam_eff + 2.0)
-    _, e_dual, _, _ = kepler_from_oscillator(eps, omega, 0.0, 0.0)
-    return eps, e_dual

@@ -348,16 +348,3 @@ def cylindrical_residual(
     q = z * (z + 1.0) + 0.5 * coupling / hbar ** 2
     res = xm * f2 + 2.0 * f1 - (q / xm + 0.25 * xm - e) * fm
     return float(np.max(np.abs(_trim(res, n_points, margin_frac))))
-
-
-def radial_residual(picture: str, **kw) -> float:
-    """Dispatch to the per-picture radial residual checks."""
-    if picture == "kepler":
-        return kepler_radial_residual(**kw)
-    if picture == "oscillator_8d":
-        return oscillator_radial_residual(**kw)
-    if picture in ("parabolic_mu", "parabolic_nu"):
-        return parabolic_residual(picture.removeprefix("parabolic_"), **kw)
-    if picture == "cylindrical":
-        return cylindrical_residual(**kw)
-    raise ValueError(f"unknown picture {picture!r}")

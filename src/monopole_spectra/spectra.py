@@ -1,10 +1,18 @@
 """Finite-difference eigenvalue solvers for the separated ODEs.
 
-Every equation is brought to symmetric Sturm-Liouville form by the
-substitution recorded on the problem container (chi = w(x) * solution), so the
+Every equation is brought to symmetric Sturm-Liouville form, so the
 discretized operator is a real symmetric tridiagonal matrix; eigenvalues come
-from the implicit-shift tridiagonal solver behind scipy's eigh_tridiagonal.
-Each spectrum is computed on meshes (N, 2N) and Richardson-extrapolated.
+from the implicit-shift tridiagonal solver behind scipy's eigh_tridiagonal,
+imported on the first solve.  Each spectrum is computed on meshes (N, 2N) and
+Richardson-extrapolated.
+
+The two Coulomb-type 5D pictures are solved through their 8D duals.  The map
+x = y^2, chi = (2y)^(1/2) phi turns the 5D radial equation into the 8D radial
+one at Gamma = 4 Lambda, and each parabolic sector into a cylindrical sector
+at coupling 2 c_i / hbar^2; the Coulomb strength becomes the eigenvalue of
+-phi'' + [a/y^2 + kappa^2 y^2] phi = nu phi.  That operator scales exactly,
+nu(kappa) = kappa nu(1), so one kappa-free solve per sector gives every level
+in closed form.
 
 The closed-form oracles live next to the solvers (`*_oracle`) so callers can
 cross-check without going through the algebraic layer.
@@ -12,10 +20,9 @@ cross-check without going through the algebraic layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, NoIntersection
 from .params import ModelParams
@@ -26,9 +33,9 @@ ENVELOPE_CUT = 1e-14
 
 @dataclass(frozen=True)
 class SturmLiouvilleProblem:
-    """-chi'' + V(x) chi = lambda w(x) chi on (x_min, x_max), Dirichlet ends.
+    """-chi'' + V(x) chi = lambda chi on (x_min, x_max), Dirichlet ends.
 
-    V(x) = inv_x/x + inv_x2/x^2 + lin*x + quad*x^2 + const; w is 1 or 1/x.
+    V(x) = inv_x/x + inv_x2/x^2 + lin*x + quad*x^2 + const.
     x_min = 0 places the wall exactly at the origin (exact for solutions
     vanishing there); grid nodes are interior, so V is never evaluated at 0.
     """
@@ -39,17 +46,13 @@ class SturmLiouvilleProblem:
     quad: float = 0.0
     const: float = 0.0
     domain: tuple[float, float] = (0.0, 1.0)
-    transform: str = ""
     mesh_size: int = 2000
-    weight: str = "none"
 
     def __post_init__(self) -> None:
         if self.domain[0] < 0 or self.domain[1] <= self.domain[0]:
             raise ValueError(f"domain must satisfy 0 <= x_min < x_max, got {self.domain}")
         if self.mesh_size < 3:
             raise ValueError("mesh_size must be at least 3")
-        if self.weight not in ("none", "inv_x"):
-            raise ValueError(f"unknown weight {self.weight!r}")
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return (
@@ -75,20 +78,17 @@ class EigenResult:
     converged: np.ndarray
     mesh_size: int
     conv_tol: float
-    problem: SturmLiouvilleProblem | None = field(default=None, repr=False)
 
 
 def solve_lowest(problem: SturmLiouvilleProblem, k: int, mesh: int | None = None) -> np.ndarray:
     """Lowest k eigenvalues of the discretized problem."""
+    from scipy.linalg import eigh_tridiagonal
+
     n = mesh if mesh is not None else problem.mesh_size
     x = np.linspace(problem.domain[0], problem.domain[1], n + 2)[1:-1]
     h = x[1] - x[0]
     diag = 2.0 / h ** 2 + problem.potential(x)
     off = np.full(n - 1, -1.0 / h ** 2)
-    if problem.weight == "inv_x":
-        # A chi = lam (1/x) chi  ->  congruence by diag(sqrt(x)) stays tridiagonal
-        diag = diag * x
-        off = off * np.sqrt(x[:-1] * x[1:])
     return eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
     )
@@ -118,7 +118,6 @@ def _richardson_solve(
         converged=converged,
         mesh_size=problem.mesh_size,
         conv_tol=conv_tol,
-        problem=problem,
     )
 
 
@@ -151,29 +150,22 @@ def kepler_radial_spectrum(
     strict: bool = True,
 ) -> EigenResult:
     """Lowest k bound-state energies of the 5D radial equation at separation
-    constant lam >= 0."""
+    constant lam >= 0.
+
+    Solved as the 8D radial equation at Gamma = 4 lam, hbar = omega = 1,
+    whose levels eps_n give nu_n = 2 eps_n = 8 c0 / (hbar^2 kappa_n) with
+    kappa_n^2 = -8 E_n / hbar^2, i.e. E_n = -8 c0^2 / (hbar^2 nu_n^2).
+    """
     if lam < 0:
         raise ValueError(f"separation constant must be non-negative, got {lam}")
-    hb2 = params.hbar ** 2
-    ell = exponent_from_separation(lam)
-    kappa_min = 2.0 * params.c0 / (hb2 * (k - 1 + ell + 2.0))
-    r_max = _exp_cutoff(kappa_min, ell + 2.0 + (k - 1))
-    problem = SturmLiouvilleProblem(
-        inv_x=-2.0 * params.c0 / hb2,
-        inv_x2=lam + 2.0,
-        domain=(0.0, r_max),
-        transform="chi = r^2 R(r)",
-        mesh_size=mesh,
-    )
-    res = _richardson_solve(problem, k, conv_tol, strict)
-    factor = hb2 / 2.0
+    res = oscillator_radial_spectrum(4.0 * lam, 1.0, 1.0, k, mesh, conv_tol, strict)
+
+    def energy(eps: np.ndarray) -> np.ndarray:
+        return -8.0 * params.c0 ** 2 / (params.hbar ** 2 * (2.0 * eps) ** 2)
+
     return EigenResult(
-        eigenvalues=res.eigenvalues * factor,
-        richardson=res.richardson * factor,
-        converged=res.converged,
-        mesh_size=res.mesh_size,
-        conv_tol=res.conv_tol,
-        problem=problem,
+        energy(res.eigenvalues), energy(res.richardson), res.converged,
+        res.mesh_size, res.conv_tol,
     )
 
 
@@ -183,18 +175,11 @@ def kepler_radial_oracle(lam: float, params: ModelParams, k: int = 5) -> np.ndar
     return -params.c0 ** 2 / (2.0 * params.hbar ** 2 * (n + ell + 2.0) ** 2)
 
 
-def _angular_problem(q1: float, q2: float, mesh: int) -> SturmLiouvilleProblem:
-    # -chi'' + [3/4 csc^2 + 2 q2/(1-cos) + 2 q1/(1+cos) - 9/4] chi = sep * chi
-    return SturmLiouvilleProblem(
-        domain=(0.0, math.pi),
-        transform="chi = sin^(3/2)(theta) F(theta); potential assembled in-solver",
-        mesh_size=mesh,
-    )
-
-
 def _angular_solve(
     q1: float, q2: float, k: int, mesh: int, conv_tol: float, strict: bool
 ) -> EigenResult:
+    # -chi'' + [3/4 csc^2 + 2 q2/(1-cos) + 2 q1/(1+cos) - 9/4] chi = sep * chi
+    from scipy.linalg import eigh_tridiagonal
 
     def lowest(n: int) -> np.ndarray:
         th = np.linspace(0.0, math.pi, n + 2)[1:-1]
@@ -215,8 +200,7 @@ def _angular_solve(
     rich, converged = _extrapolate(coarse, fine, conv_tol)
     if strict and not np.all(converged):
         raise ConvergenceFailure("angular spectrum did not converge")
-    problem = _angular_problem(q1, q2, mesh)
-    return EigenResult(fine, rich, converged, mesh, conv_tol, problem)
+    return EigenResult(fine, rich, converged, mesh, conv_tol)
 
 
 def kepler_angular_spectrum(
@@ -264,18 +248,18 @@ def oscillator_radial_spectrum(
     # Gaussian envelope exp(-omega u^2 / (2 hbar)) ~ exp(-kappa x / 2) in x=u^2
     x_max = _exp_cutoff(omega / hbar, g + (k - 1) + 1.75)
     u_max = math.sqrt(x_max)
+    # chi = u^(7/2) R(u)
     problem = SturmLiouvilleProblem(
         inv_x2=gamma + 35.0 / 4.0,
         quad=omega ** 2 / hb2,
         domain=(0.0, u_max),
-        transform="chi = u^(7/2) R(u)",
         mesh_size=mesh,
     )
     res = _richardson_solve(problem, k, conv_tol, strict)
     factor = hb2 / 2.0
     return EigenResult(
         res.eigenvalues * factor, res.richardson * factor, res.converged,
-        res.mesh_size, res.conv_tol, problem,
+        res.mesh_size, res.conv_tol,
     )
 
 
@@ -305,7 +289,7 @@ def oscillator_angular_spectrum(
     res = _angular_solve(q1, q2, k, mesh, conv_tol, strict)
     return EigenResult(
         4.0 * res.eigenvalues, 4.0 * res.richardson, res.converged,
-        res.mesh_size, res.conv_tol, res.problem,
+        res.mesh_size, res.conv_tol,
     )
 
 
@@ -316,6 +300,25 @@ def oscillator_angular_oracle(
     s = 0.5 * (T + K + d.delta1 + d.delta2)
     m = np.arange(k)
     return 4.0 * (m + s) * (m + s + 3.0)
+
+
+def cylindrical_problem(
+    z: float, lam_coupling: float, omega: float, hbar: float, k: int, mesh: int
+) -> SturmLiouvilleProblem:
+    """One 4D cylindrical sector, chi = rho^(3/2) f(rho), on a domain that
+    holds the lowest k levels."""
+    if z < 0 or lam_coupling < 0 or omega <= 0:
+        raise ValueError("z, lam_coupling must be non-negative and omega positive")
+    hb2 = hbar ** 2
+    d = -1.0 + math.sqrt(2.0 * lam_coupling / hb2 + (2.0 * z + 1.0) ** 2) - z
+    x_max = _exp_cutoff(omega / hbar, 0.5 * (d + z) + (k - 1) + 0.75)
+    q = z * (z + 1.0) + 0.5 * lam_coupling / hb2
+    return SturmLiouvilleProblem(
+        inv_x2=4.0 * q + 0.75,
+        quad=omega ** 2 / hb2,
+        domain=(0.0, math.sqrt(x_max)),
+        mesh_size=mesh,
+    )
 
 
 def cylindrical_spectrum(
@@ -329,25 +332,12 @@ def cylindrical_spectrum(
     strict: bool = True,
 ) -> EigenResult:
     """Lowest k single-factor energies of one 4D cylindrical sector."""
-    if z < 0 or lam_coupling < 0 or omega <= 0:
-        raise ValueError("z, lam_coupling must be non-negative and omega positive")
-    hb2 = hbar ** 2
-    d = -1.0 + math.sqrt(2.0 * lam_coupling / hb2 + (2.0 * z + 1.0) ** 2) - z
-    x_max = _exp_cutoff(omega / hbar, 0.5 * (d + z) + (k - 1) + 0.75)
-    rho_max = math.sqrt(x_max)
-    q = z * (z + 1.0) + 0.5 * lam_coupling / hb2
-    problem = SturmLiouvilleProblem(
-        inv_x2=4.0 * q + 0.75,
-        quad=omega ** 2 / hb2,
-        domain=(0.0, rho_max),
-        transform="chi = rho^(3/2) f(rho)",
-        mesh_size=mesh,
-    )
+    problem = cylindrical_problem(z, lam_coupling, omega, hbar, k, mesh)
     res = _richardson_solve(problem, k, conv_tol, strict)
-    factor = hb2 / 2.0
+    factor = hbar ** 2 / 2.0
     return EigenResult(
         res.eigenvalues * factor, res.richardson * factor, res.converged,
-        res.mesh_size, res.conv_tol, problem,
+        res.mesh_size, res.conv_tol,
     )
 
 
@@ -371,80 +361,6 @@ class ParabolicLevel:
     converged: bool
 
 
-def parabolic_sector_problem(
-    kappa: float, q: float, params: ModelParams, k: int, mesh: int
-) -> SturmLiouvilleProblem:
-    """One parabolic sector as a weighted Sturm-Liouville problem:
-    -chi'' + [q/x^2 - c0/(2 hb2 x) + kappa^2/4] chi = xi (1/x) chi;
-    the separation constant is +-2 xi / hbar per sector."""
-    hb2 = params.hbar ** 2
-    x_max = _exp_cutoff(kappa, q + k + 2.0)
-    return SturmLiouvilleProblem(
-        inv_x=-params.c0 / (2.0 * hb2),
-        inv_x2=q,
-        const=kappa ** 2 / 4.0,
-        domain=(0.0, x_max),
-        transform="chi = mu f(mu); weight 1/mu",
-        mesh_size=mesh,
-        weight="inv_x",
-    )
-
-
-def _parabolic_sector_eigs(
-    kappa: float, q: float, params: ModelParams, k: int, mesh: int
-) -> np.ndarray:
-    return solve_lowest(parabolic_sector_problem(kappa, q, params, k, mesh), k)
-
-
-def _parabolic_kappa_of_pair(
-    n1: int,
-    n2: int,
-    q1: float,
-    q2: float,
-    params: ModelParams,
-    kappa_range: tuple[float, float],
-    mesh: int,
-    scan_points: int,
-    root_rtol: float = 1e-11,
-) -> tuple[float, float]:
-    """kappa* and lam_tilde with xi1(n1; kappa) + xi2(n2; kappa) = 0."""
-    k1, k2 = n1 + 1, n2 + 1
-
-    def mismatch(kappa: float) -> tuple[float, float]:
-        xi1 = _parabolic_sector_eigs(kappa, q1, params, k1, mesh)[n1]
-        xi2 = _parabolic_sector_eigs(kappa, q2, params, k2, mesh)[n2]
-        return xi1 + xi2, xi1
-
-    kappas = np.linspace(kappa_range[0], kappa_range[1], scan_points)
-    vals = np.array([mismatch(kp)[0] for kp in kappas])
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if sign_change.size == 0:
-        raise NoIntersection(
-            f"no eigenvalue intersection for (n1, n2)=({n1}, {n2}) in kappa range {kappa_range}"
-        )
-    i = sign_change[0]
-    lo, hi = kappas[i], kappas[i + 1]
-    glo, ghi = vals[i], vals[i + 1]
-    # Illinois (damped regula falsi): superlinear on the smooth monotone curve
-    kappa_star = 0.5 * (lo + hi)
-    for _ in range(100):
-        kappa_star = (lo * ghi - hi * glo) / (ghi - glo)
-        gm, _ = mismatch(kappa_star)
-        if gm == 0.0:
-            break
-        if (gm > 0) == (glo > 0):
-            lo, glo = kappa_star, gm
-            ghi *= 0.5
-        else:
-            hi, ghi = kappa_star, gm
-            glo *= 0.5
-        if hi - lo <= root_rtol * kappa_star:
-            break
-    _, xi1 = mismatch(kappa_star)
-    lam_tilde = 2.0 * xi1 / params.hbar
-    return kappa_star, lam_tilde
-
-
 def parabolic_quantization(
     J: float,
     L: float,
@@ -452,50 +368,51 @@ def parabolic_quantization(
     kappa_range: tuple[float, float] | None = None,
     n_max: int = 2,
     mesh: int = 2000,
-    scan_points: int = 17,
     conv_tol: float = 1e-3,
     strict: bool = True,
     pairs: list[tuple[int, int]] | None = None,
 ) -> list[ParabolicLevel]:
     """Quantized parabolic states: for each node pair (n1, n2), the kappa at
-    which the two sector eigencurves share a separation constant.
+    which the sector separation constants satisfy xi1 + xi2 = 0.
 
-    The scan range defaults to a bracket around the closed-form quantization;
-    energies are E = -hbar^2 kappa^2 / 2, Richardson-extrapolated over
-    (mesh, 2*mesh).
+    Under x = y^2 sector i is the cylindrical sector at coupling
+    2 c_i / hbar^2 (hbar = omega = 1) with eigenvalue
+    4 (xi_i + c0 / (2 hbar^2)) = kappa nu^i, nu^i = 2 eps^i, so
+    kappa* = 4 c0 / (hbar^2 (nu^1_n1 + nu^2_n2)), E = -hbar^2 kappa*^2 / 2
+    and lam_tilde = 2 xi1 / hbar, all from the sector spectra Richardson-
+    extrapolated over (mesh, 2*mesh).  A supplied kappa_range must contain
+    kappa*, otherwise NoIntersection is raised.
     """
+    if J < 0 or L < 0:
+        raise ValueError("J and L must be non-negative")
     hb2 = params.hbar ** 2
-    q1 = J * (J + 1.0) + params.c1 / hb2
-    q2 = L * (L + 1.0) + params.c2 / hb2
     if pairs is None:
         pairs = [(i, s - i) for s in range(n_max + 1) for i in range(s + 1)]
-    d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
+    if not pairs:
+        return []
+    sector1 = cylindrical_spectrum(
+        J, 2.0 * params.c1 / hb2, 1.0, 1.0, max(n1 for n1, _ in pairs) + 1,
+        mesh, conv_tol, strict,
+    )
+    sector2 = cylindrical_spectrum(
+        L, 2.0 * params.c2 / hb2, 1.0, 1.0, max(n2 for _, n2 in pairs) + 1,
+        mesh, conv_tol, strict,
+    )
     levels = []
     for n1, n2 in pairs:
-        if kappa_range is None:
-            total = n1 + n2 + 0.5 * (d.delta1 + d.delta2 + J + L) + 2.0
-            k_oracle = params.c0 / (hb2 * total)
-            rng = (0.6 * k_oracle, 1.6 * k_oracle)
-        else:
-            rng = kappa_range
-        kap_c, lt_c = _parabolic_kappa_of_pair(
-            n1, n2, q1, q2, params, rng, mesh, scan_points
-        )
-        kap_f, lt_f = _parabolic_kappa_of_pair(
-            n1, n2, q1, q2, params, (0.98 * kap_c, 1.02 * kap_c), 2 * mesh, 5
-        )
-        kap_rich = (4.0 * kap_f - kap_c) / 3.0
-        e_fine = -hb2 * kap_f ** 2 / 2.0
-        e_rich = -hb2 * kap_rich ** 2 / 2.0
-        converged = abs(e_rich - e_fine) <= conv_tol * abs(e_rich)
-        if strict and not converged:
-            raise ConvergenceFailure(
-                f"parabolic pair ({n1}, {n2}) did not converge: {e_fine} vs {e_rich}"
+        nu1 = 2.0 * sector1.richardson[n1]
+        nu2 = 2.0 * sector2.richardson[n2]
+        kappa = 4.0 * params.c0 / (hb2 * (nu1 + nu2))
+        if kappa_range is not None and not kappa_range[0] <= kappa <= kappa_range[1]:
+            raise NoIntersection(
+                f"kappa*={kappa} of (n1, n2)=({n1}, {n2}) lies outside kappa range {kappa_range}"
             )
+        xi1 = kappa * nu1 / 4.0 - params.c0 / (2.0 * hb2)
         levels.append(
             ParabolicLevel(
-                n1=n1, n2=n2, lam_tilde=lt_f, energy=e_rich, kappa=kap_rich,
-                converged=converged,
+                n1=n1, n2=n2, lam_tilde=2.0 * xi1 / params.hbar,
+                energy=-hb2 * kappa ** 2 / 2.0, kappa=kappa,
+                converged=bool(sector1.converged[n1] and sector2.converged[n2]),
             )
         )
     return levels

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from monopole_spectra.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(argv, capsys):
@@ -171,23 +177,63 @@ class TestConfigFile:
         assert env["results"][0]["value"] == -0.125
 
 
-class TestThreadCap:
-    def test_env_var_respected(self, monkeypatch):
-        from monopole_spectra.cli import thread_cap
+class TestInputBoundary:
+    def test_non_finite_value_exit_2(self, capsys):
+        code = main(["spectrum", "osc8d", "--omega", "nan", "--levels", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "omega" in err
 
-        monkeypatch.setenv("MONOPOLE_SPECTRA_THREADS", "3")
-        assert thread_cap() == 3
-        monkeypatch.setenv("MONOPOLE_SPECTRA_THREADS", "bogus")
-        assert thread_cap() >= 1
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega = inf\n")
+        code = main(["spectrum", "osc8d", "--config", str(cfg)])
+        assert code == 2
+        assert "omega" in capsys.readouterr().err
 
-    def test_parallel_map_serial_path(self, monkeypatch):
-        from monopole_spectra.cli import parallel_map
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("c0 = 2.0\npmax = 5\n")
+        code = main(["spectrum", "kepler5d", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "pmax" in captured.err
 
-        monkeypatch.setenv("MONOPOLE_SPECTRA_THREADS", "1")
-        assert parallel_map(lambda v: v * v, [1, 2, 3]) == [1, 4, 9]
+    def test_negative_parabolic_label_exit_2(self, capsys):
+        code = main(["verify", "ode", "--picture", "parabolic", "--J", "-1"])
+        assert code == 2
+        assert "J and L" in capsys.readouterr().err
 
-    def test_parallel_map_threaded(self, monkeypatch):
-        from monopole_spectra.cli import parallel_map
+    def test_zero_levels_exit_2(self, capsys):
+        code = main(["verify", "ode", "--picture", "kepler-radial", "--levels", "0"])
+        assert code == 2
+        assert "levels" in capsys.readouterr().err
 
-        monkeypatch.setenv("MONOPOLE_SPECTRA_THREADS", "4")
-        assert parallel_map(lambda v: v + 1, range(20)) == list(range(1, 21))
+
+class TestCoulombPicturesThroughOscillator:
+    """Inputs the Coulomb-mesh solver failed on: the 5D radial equation is
+    now solved as the 8D radial one."""
+
+    def test_kepler_radial_eight_levels(self, capsys):
+        code, env = run_json(
+            ["verify", "ode", "--picture", "kepler-radial", "--levels", "8"], capsys)
+        assert code == 0
+        assert env["checks"][0]["passed"]
+
+    def test_kepler_radial_forty_levels(self, capsys):
+        code, env = run_json(
+            ["verify", "ode", "--picture", "kepler-radial", "--levels", "40",
+             "--mesh", "4000"], capsys)
+        assert code == 0
+        assert env["checks"][0]["passed"]
+
+
+def test_cli_import_does_not_load_scipy():
+    """Closed-form commands never solve an ODE, so importing the CLI must
+    not pay for scipy; it is imported on the first eigensolve."""
+    code = "import sys, monopole_spectra.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

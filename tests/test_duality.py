@@ -137,6 +137,12 @@ class TestDeltaMMatching:
         for r in matched:
             assert abs(r.delta1 - r.m1) <= 1e-10 and abs(r.delta2 - r.m2) <= 1e-10
 
+    def test_invalid_labels_raise(self):
+        """Only a negative radicand reads as "no match"; a label that is not
+        a half-integer is an input error."""
+        with pytest.raises(ValueError):
+            delta_m_match(ModelParams(1.0), J=0.0, L=0.0, l4=0.0, T=0.3)
+
     def test_inadmissible_sectors_are_excluded_not_fatal(self):
         matched, excluded = enumerate_delta_m_matches(
             ModelParams(1.0), z_max=1.0, l4_max=0.5

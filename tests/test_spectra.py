@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from monopole_spectra import ModelParams
-from monopole_spectra.cli import relative_errors
+from monopole_spectra.cli import ODE_RTOL, relative_errors
 from monopole_spectra.errors import ConvergenceFailure, NoIntersection
 from monopole_spectra.spectra import (
     SturmLiouvilleProblem,
     cylindrical_oracle,
+    cylindrical_problem,
     cylindrical_spectrum,
     kepler_angular_oracle,
     kepler_angular_spectrum,
@@ -160,11 +161,22 @@ class TestParabolic:
             # hyperspherical (n = s, lam = 0) sits in the lam = 0 radial tower
             assert l.energy == pytest.approx(radial[s], rel=2e-6)
 
+    def test_coupled_free_labels_within_ode_rtol(self):
+        p = ModelParams(1.0, 0.75, 0.54)
+        levels = parabolic_quantization(0.0, 0.0, p, n_max=2, mesh=4000)
+        got = [l.energy for l in levels]
+        want = [parabolic_oracle(l.n1, l.n2, 0.0, 0.0, p) for l in levels]
+        assert np.max(relative_errors(got, want)) <= ODE_RTOL
+
     def test_no_intersection(self):
         with pytest.raises(NoIntersection):
             parabolic_quantization(
                 0.0, 0.0, UNIT, kappa_range=(5.0, 6.0), n_max=0, mesh=500
             )
+        inside = parabolic_quantization(
+            0.0, 0.0, UNIT, kappa_range=(0.4, 0.6), n_max=0, mesh=500
+        )
+        assert inside[0].kappa == pytest.approx(0.5, rel=1e-5)
 
     def test_lam_tilde_antisymmetry(self):
         """Swapping the sectors flips the separation constant."""
@@ -182,18 +194,17 @@ class TestParabolic:
 
 class TestParabolicNodeCounts:
     def test_index_equals_node_count(self):
-        """The n-th sector eigenfunction has n interior sign changes, so
-        indexing the eigencurves is the node-count labelling."""
+        """The n-th eigenfunction of the mapped sector operator (the
+        cylindrical sector at coupling 2 c_i / hbar^2) has n interior sign
+        changes, so indexing the sector spectrum is the node-count labelling."""
         from scipy.linalg import eigh_tridiagonal
 
-        from monopole_spectra.spectra import parabolic_sector_problem
-
-        prob = parabolic_sector_problem(0.4, 0.7, UNIT, 4, 1200)
+        prob = cylindrical_problem(0.5, 2.0 * 0.7, 1.0, 1.0, 4, 1200)
         n = prob.mesh_size
         x = np.linspace(prob.domain[0], prob.domain[1], n + 2)[1:-1]
         h = x[1] - x[0]
-        diag = (2.0 / h ** 2 + prob.potential(x)) * x
-        off = -1.0 / h ** 2 * np.sqrt(x[:-1] * x[1:])
+        diag = 2.0 / h ** 2 + prob.potential(x)
+        off = np.full(n - 1, -1.0 / h ** 2)
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
         for idx in range(4):
             v = vecs[:, idx]
@@ -202,28 +213,46 @@ class TestParabolicNodeCounts:
             assert nodes == idx
 
 
+class TestExactScaling:
+    """E(s c0) = s^2 E(c0) and E -> E / s^2 under hbar -> s hbar at fixed
+    c_i / hbar^2 hold to rounding: both Coulomb-type pictures solve a
+    scale-free operator once and apply the physical scale in closed form."""
+
+    P = ModelParams(0.8, 0.3, 0.4)
+    S = 1.7
+
+    def scaled_hbar(self):
+        s2 = self.S ** 2
+        return ModelParams(self.P.c0, self.P.c1 * s2, self.P.c2 * s2, self.S)
+
+    def test_kepler_radial(self):
+        base = kepler_radial_spectrum(1.3, self.P, k=5, mesh=2000).richardson
+        c0 = kepler_radial_spectrum(1.3, ModelParams(37.0 * 0.8, 0.3, 0.4), k=5,
+                                    mesh=2000).richardson
+        hb = kepler_radial_spectrum(1.3, self.scaled_hbar(), k=5, mesh=2000).richardson
+        np.testing.assert_allclose(c0, 37.0 ** 2 * base, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(hb, base / self.S ** 2, rtol=1e-14, atol=0)
+
+    def test_parabolic(self):
+        def energies(params):
+            return np.array([l.energy for l in
+                             parabolic_quantization(0.5, 1.0, params, n_max=2, mesh=2000)])
+
+        base = energies(self.P)
+        c0 = energies(ModelParams(37.0 * 0.8, 0.3, 0.4))
+        hb = energies(self.scaled_hbar())
+        np.testing.assert_allclose(c0, 37.0 ** 2 * base, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(hb, base / self.S ** 2, rtol=1e-14, atol=0)
+
+
 class TestSturmLiouville:
     def test_validation(self):
         with pytest.raises(ValueError):
             SturmLiouvilleProblem(domain=(1.0, 0.5))
         with pytest.raises(ValueError):
             SturmLiouvilleProblem(domain=(0.0, 1.0), mesh_size=2)
-        with pytest.raises(ValueError):
-            SturmLiouvilleProblem(domain=(0.0, 1.0), weight="bogus")
 
     def test_particle_in_a_box(self):
         prob = SturmLiouvilleProblem(domain=(0.0, math.pi), mesh_size=4000)
         got = solve_lowest(prob, 3)
         assert np.allclose(got, [1.0, 4.0, 9.0], rtol=1e-5)
-
-    def test_weighted_solve_against_closed_form(self):
-        """xi of -chi'' + (kappa^2/4) chi = xi chi / x with chi(0) = 0 is
-        kappa*(n+1) - 0 for the pure-Coulomb normalization used here."""
-        kappa = 0.5
-        prob = SturmLiouvilleProblem(
-            inv_x=-0.5, const=kappa ** 2 / 4.0, domain=(0.0, 140.0),
-            mesh_size=6000, weight="inv_x",
-        )
-        got = solve_lowest(prob, 2)
-        want = np.array([kappa * 1.0 - 0.5, kappa * 2.0 - 0.5])
-        assert np.allclose(got, want, atol=2e-4)
