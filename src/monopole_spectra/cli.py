@@ -4,8 +4,15 @@ Subcommands:
     spectrum kepler5d | osc8d      closed-form level tables
     verify algebra | ode | duality | residuals
 
+Every parameter is declared once, as a `Param`, in the table of the command
+that reads it; `verify ode` and `verify residuals` keep one table per
+`--picture`, and the first picture of a table is its default.  The flags
+(`--` + name, with `_` spelled `-`), the config parsing, the input checks and
+the `params` echo are all derived from these declarations.
+
 Reports are emitted as JSON (default), CSV, or plain text.  JSON carries the
-schema {version, command, params, results, checks}; result rows carry
+schema {version, timestamp, command, params, results, checks}; `params`
+echoes every resolved input of the command or picture, result rows carry
 {labels, value, oracle, abs_diff, rel_diff} (plus row-specific extras), and
 every check records its tolerance and oracle identity.
 
@@ -13,29 +20,27 @@ Exit codes: 0 success, 2 invalid input, 3 convergence failure, 4 invariant
 violation (including failed verification checks).
 
 A plain-text config file of `key = value` lines can be passed via --config;
-explicit command-line flags take precedence.  Keys must name an option of the
-subcommand, and every numeric value, from a flag or the file, must be finite.
+explicit command-line flags take precedence.  Config values are typed and
+checked like flags: cast by the declared type, checked against the declared
+choices and bound, and every number must be finite.  A flag or key that the
+command, or its chosen picture, does not read exits 2 and is named.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, algebra, duality, spectra
-from . import specfun
-from .errors import (
-    ConvergenceFailure,
-    MonopoleSpectraError,
-    NegativeRadicand,
-    NoIntersection,
-)
+from . import __version__, algebra, duality, specfun, spectra
+from .errors import ConvergenceFailure, MonopoleSpectraError, NoIntersection
 from .params import ModelParams, QuantumNumbers
 
 EXIT_OK = 0
@@ -63,15 +68,7 @@ def relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------ envelope
 
-def make_envelope(argv: list[str], params: dict, results: list, checks: list) -> dict:
-    return {
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "command": " ".join(argv),
-        "params": params,
-        "results": results,
-        "checks": checks,
-    }
+ROW_KEYS = ("labels", "value", "oracle", "abs_diff", "rel_diff")
 
 
 def row(labels: dict, value: float, oracle: float | None = None, **extra) -> dict:
@@ -98,17 +95,14 @@ def _fmt17(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
+def render_json(envelope: dict) -> str:
+    return json.dumps(envelope, indent=2, default=_fmt17) + "\n"
+
+
 def render_csv(envelope: dict) -> str:
     rows = envelope["results"]
-    label_keys: list[str] = []
-    extra_keys: list[str] = []
-    for r in rows:
-        for k in r["labels"]:
-            if k not in label_keys:
-                label_keys.append(k)
-        for k in r:
-            if k not in ("labels", "value", "oracle", "abs_diff", "rel_diff") and k not in extra_keys:
-                extra_keys.append(k)
+    label_keys = list(dict.fromkeys(k for r in rows for k in r["labels"]))
+    extra_keys = list(dict.fromkeys(k for r in rows for k in r if k not in ROW_KEYS))
     header = [f"label.{k}" for k in label_keys] + ["value", "oracle", "abs_diff", "rel_diff"] + extra_keys
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -126,7 +120,7 @@ def render_plain(envelope: dict) -> str:
     rows = envelope["results"]
     if rows:
         label_keys = list(rows[0]["labels"].keys())
-        extra_keys = [k for k in rows[0] if k not in ("labels", "value", "oracle", "abs_diff", "rel_diff")]
+        extra_keys = [k for k in rows[0] if k not in ROW_KEYS]
         header = label_keys + ["value", "oracle", "rel_diff"] + extra_keys
         out.append("  ".join(f"{h:>12}" for h in header))
         for r in rows:
@@ -145,15 +139,11 @@ def render_plain(envelope: dict) -> str:
     return "\n".join(out) + "\n"
 
 
+RENDERERS = {"json": render_json, "csv": render_csv, "plain": render_plain}
+
+
 def emit(envelope: dict, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(envelope, indent=2, default=_fmt17) + "\n"
-    elif fmt == "csv":
-        text = render_csv(envelope)
-    elif fmt == "plain":
-        text = render_plain(envelope)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    text = RENDERERS[fmt](envelope)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -161,106 +151,100 @@ def emit(envelope: dict, fmt: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-# ------------------------------------------------------------------- helpers
+# ------------------------------------------------------------ declarations
 
-def load_config(path: str) -> dict:
-    cfg = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            cfg[key.replace("-", "_")] = val
-    return cfg
+class Param(NamedTuple):
+    """One parameter: flag `--name` (`_` spelled `-`), config key `name`.
 
+    Values from a flag or the config file are cast by `type`, must be one of
+    `choices` when given, greater than `above` when given, and finite."""
 
-# namespace entries that select the subcommand or name the config file itself
-NOT_CONFIGURABLE = {"command", "system", "what", "config"}
+    name: str
+    type: type
+    default: object = None
+    choices: tuple | None = None
+    above: float | None = None
 
 
-def check_config_keys(cfg: dict, args: argparse.Namespace) -> None:
-    unknown = sorted(set(cfg) - (set(vars(args)) - NOT_CONFIGURABLE))
-    if unknown:
-        raise ValueError(f"unknown config key(s) for this command: {', '.join(unknown)}")
+C0 = Param("c0", float, 1.0)
+COUPLINGS = [Param("c1", float, 0.0), Param("c2", float, 0.0)]
+HBAR = Param("hbar", float, 1.0, above=0.0)
+MODEL = [C0, *COUPLINGS, HBAR]
+OMEGA = Param("omega", float, 1.0, above=0.0)
+LAMBDAS = [Param("lambda1", float, 0.0), Param("lambda2", float, 0.0)]
+T = Param("T", float, 0.0)
+L4_T = [Param("l4", float, 0.0), T]               # algebraic sector labels
+J_L = [Param("J", float, 0.0), Param("L", float, 0.0)]  # 5D picture labels
+T_K = [T, Param("K", float, 0.0)]                 # 8D picture labels
+SECTOR = [Param("z", float, 0.0), Param("lam_coupling", float, 0.0)]
+MESH = Param("mesh", int, 2000)
+SOLVE = [Param("levels", int, 3, above=0), MESH]
+LAM = Param("lam", int, 1)
+LAM_EFF = Param("lam_eff", float, 0.0)
+POINTS = Param("points", int, 2001)
+
+OUTPUT = [Param("format", str, "json", tuple(RENDERERS)), Param("out", str)]
+CONFIG = Param("config", str)
 
 
-def resolve(args: argparse.Namespace, name: str, cast, default):
-    """CLI flag beats config file beats hard default; numbers must be finite."""
-    value = getattr(args, name, None)
-    if value is None:
-        cfg = getattr(args, "_cfg", {})
-        value = cast(cfg[name]) if name in cfg else default
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+def model(v: dict) -> ModelParams:
+    """ModelParams of the resolved values; fields the run does not read keep their defaults."""
+    return ModelParams(**{p.name: v.get(p.name, p.default) for p in MODEL})
 
 
-def model_params(args) -> ModelParams:
-    return ModelParams(
-        c0=resolve(args, "c0", float, 1.0),
-        c1=resolve(args, "c1", float, 0.0),
-        c2=resolve(args, "c2", float, 0.0),
-        hbar=resolve(args, "hbar", float, 1.0),
-    )
+class Pictures(NamedTuple):
+    """A command whose parameters depend on `--picture` (the first one is the
+    default): each picture pairs its declarations with a function of their
+    values, whose output `report` turns into (results, checks)."""
+
+    table: dict[str, tuple[list[Param], Callable]]
+    report: Callable
+
+    @property
+    def picture(self) -> Param:
+        return Param("picture", str, next(iter(self.table)), tuple(self.table))
+
+    def plan(self, picture: str) -> tuple[list[Param], Callable]:
+        decls, fn = self.table[picture]
+        return [self.picture, *decls], lambda v: self.report(picture, fn(v))
 
 
 # ------------------------------------------------------------------ spectrum
 
-def cmd_spectrum_kepler5d(args, argv) -> tuple[dict, int]:
-    params = model_params(args)
-    qn = QuantumNumbers(l4=resolve(args, "l4", float, 0.0), T=resolve(args, "T", float, 0.0))
-    p_max = resolve(args, "p_max", int, 3)
-    J = resolve(args, "J", float, 0.0)
-    L = resolve(args, "L", float, 0.0)
+def spectrum_kepler5d(v: dict) -> tuple[list, list]:
+    params = model(v)
+    qn = QuantumNumbers(l4=v["l4"], T=v["T"])
     results = []
-    if p_max >= 0:
+    if v["p_max"] >= 0:
         m = algebra.aux_exponents(params, qn)
-        for p in range(p_max + 1):
+        for p in range(v["p_max"] + 1):
             e = algebra.energy_level(p, m, params)
-            deg = algebra.degeneracy_count(p, J, L) if p >= 1 else 0
+            deg = algebra.degeneracy_count(p, v["J"], v["L"]) if p >= 1 else 0
             results.append(row({"p": p}, e, degeneracy=deg))
-    env = make_envelope(argv, {
-        "c0": params.c0, "c1": params.c1, "c2": params.c2, "hbar": params.hbar,
-        "l4": qn.l4, "T": qn.T, "p_max": p_max, "J": J, "L": L,
-    }, results, [])
-    return env, EXIT_OK
+    return results, []
 
 
-def cmd_spectrum_osc8d(args, argv) -> tuple[dict, int]:
-    omega = resolve(args, "omega", float, 1.0)
-    hbar = resolve(args, "hbar", float, 1.0)
-    lam1 = resolve(args, "lambda1", float, 0.0)
-    lam2 = resolve(args, "lambda2", float, 0.0)
-    T = resolve(args, "T", float, 0.0)
-    K = resolve(args, "K", float, 0.0)
-    levels = resolve(args, "levels", int, 3)
-    if omega <= 0 or hbar <= 0 or lam1 < 0 or lam2 < 0 or T < 0 or K < 0:
-        raise ValueError("omega, hbar must be positive; couplings and labels non-negative")
-    d = specfun.delta_exponents("oscillator", (lam1, lam2), T, K, hbar)
+def spectrum_osc8d(v: dict) -> tuple[list, list]:
+    omega, hbar, T, K = v["omega"], v["hbar"], v["T"], v["K"]
+    if v["lambda1"] < 0 or v["lambda2"] < 0 or T < 0 or K < 0:
+        raise ValueError("couplings and labels must be non-negative")
+    d = specfun.delta_exponents("oscillator", (v["lambda1"], v["lambda2"]), T, K, hbar)
     base = 0.5 * (T + K + d.delta1 + d.delta2)
     results = []
-    for s in range(max(levels, 0)):
+    for s in range(max(v["levels"], 0)):
         eps = 2.0 * hbar * omega * (s + base + 2.0)
         results.append(row({"n_plus_m": s}, eps, degeneracy=s + 1))
-    env = make_envelope(argv, {
-        "omega": omega, "hbar": hbar, "lambda1": lam1, "lambda2": lam2,
-        "T": T, "K": K, "levels": levels,
-    }, results, [])
-    return env, EXIT_OK
+    return results, []
 
 
 # -------------------------------------------------------------------- verify
 
-def cmd_verify_algebra(args, argv) -> tuple[dict, int]:
+def verify_algebra(v: dict) -> tuple[list, list]:
     from .fock import build_generators, build_rep, verify_algebra
 
-    params = model_params(args)
-    qn = QuantumNumbers(l4=resolve(args, "l4", float, 0.0), T=resolve(args, "T", float, 0.0))
-    p = resolve(args, "p", int, 4)
-    sol = algebra.solve_unirrep(p, params, qn)
+    params = model(v)
+    qn = QuantumNumbers(l4=v["l4"], T=v["T"])
+    sol = algebra.solve_unirrep(v["p"], params, qn)
     rep = build_rep(sol, qn, params)
     gen = build_generators(rep, params, qn)
     rpt = verify_algebra(gen, rep, params, qn)
@@ -283,98 +267,62 @@ def cmd_verify_algebra(args, argv) -> tuple[dict, int]:
         check("casimir_scalar_match", rpt.casimir_scalar_mismatch, CASIMIR_SCALAR_RTOL,
               "diagonal vs closed-form Casimir value"),
     ]
-    env = make_envelope(argv, {
-        "p": p, "c0": params.c0, "c1": params.c1, "c2": params.c2,
-        "hbar": params.hbar, "l4": qn.l4, "T": qn.T,
-    }, results, checks)
-    code = EXIT_OK if all(c["passed"] for c in checks) else EXIT_INVARIANT
-    return env, code
+    return results, checks
 
 
-def _ode_table(got: np.ndarray, want: np.ndarray, label: str) -> list[dict]:
+def _solved(v: dict, spectrum: Callable, oracle: Callable, *args) -> tuple:
+    """Richardson-extrapolated and closed-form lowest `levels` of one picture."""
+    return (spectrum(*args, v["levels"], v["mesh"]).richardson,
+            oracle(*args, v["levels"]))
+
+
+def _parabolic_levels(v: dict) -> tuple:
+    params = model(v)
+    levels = spectra.parabolic_quantization(
+        v["J"], v["L"], params, n_max=v["n_max"], mesh=v["mesh"])
+    return (np.array([l.energy for l in levels]), np.array([
+        spectra.parabolic_oracle(l.n1, l.n2, v["J"], v["L"], params) for l in levels]))
+
+
+def ode_report(picture: str, levels: tuple) -> tuple[list, list]:
+    got, want = levels
     rels = relative_errors(got, want)
-    return [
-        row({label: i}, float(g), float(w), rel_scaled=float(r))
+    results = [
+        row({"level": i}, float(g), float(w), rel_scaled=float(r))
         for i, (g, w, r) in enumerate(zip(got, want, rels))
     ]
+    return results, [check(f"{picture}_vs_oracle", float(np.max(rels)), ODE_RTOL,
+                           "closed-form spectrum")]
 
 
-def cmd_verify_ode(args, argv) -> tuple[dict, int]:
-    picture = resolve(args, "picture", str, "kepler-radial")
-    k = resolve(args, "levels", int, 3)
-    if k < 1:
-        raise ValueError(f"levels must be at least 1, got {k}")
-    mesh = resolve(args, "mesh", int, 2000)
-    params = model_params(args)
-    omega = resolve(args, "omega", float, 1.0)
-    hbar = params.hbar
-    if picture == "kepler-radial":
-        lam = resolve(args, "Lambda", float, 0.0)
-        res = spectra.kepler_radial_spectrum(lam, params, k, mesh)
-        want = spectra.kepler_radial_oracle(lam, params, k)
-        got = res.richardson
-    elif picture == "kepler-angular":
-        J = resolve(args, "J", float, 0.0)
-        L = resolve(args, "L", float, 0.0)
-        res = spectra.kepler_angular_spectrum(J, L, params, k, mesh)
-        want = spectra.kepler_angular_oracle(J, L, params, k)
-        got = res.richardson
-    elif picture == "osc-radial":
-        gam = resolve(args, "Gamma", float, 0.0)
-        res = spectra.oscillator_radial_spectrum(gam, omega, hbar, k, mesh)
-        want = spectra.oscillator_radial_oracle(gam, omega, hbar, k)
-        got = res.richardson
-    elif picture == "osc-angular":
-        T = resolve(args, "T", float, 0.0)
-        K = resolve(args, "K", float, 0.0)
-        lam1 = resolve(args, "lambda1", float, 0.0)
-        lam2 = resolve(args, "lambda2", float, 0.0)
-        res = spectra.oscillator_angular_spectrum(T, K, lam1, lam2, hbar, k, mesh)
-        want = spectra.oscillator_angular_oracle(T, K, lam1, lam2, hbar, k)
-        got = res.richardson
-    elif picture == "cylindrical":
-        z = resolve(args, "z", float, 0.0)
-        lamc = resolve(args, "lam_coupling", float, 0.0)
-        res = spectra.cylindrical_spectrum(z, lamc, omega, hbar, k, mesh)
-        want = spectra.cylindrical_oracle(z, lamc, omega, hbar, k)
-        got = res.richardson
-    elif picture == "parabolic":
-        J = resolve(args, "J", float, 0.0)
-        L = resolve(args, "L", float, 0.0)
-        n_max = resolve(args, "n_max", int, 2)
-        levels = spectra.parabolic_quantization(J, L, params, n_max=n_max, mesh=mesh)
-        got = np.array([l.energy for l in levels])
-        want = np.array([
-            spectra.parabolic_oracle(l.n1, l.n2, J, L, params) for l in levels
-        ])
-    else:
-        raise ValueError(f"unknown picture {picture!r}")
-    results = _ode_table(got, want, "level")
-    worst = float(np.max(relative_errors(got, want))) if len(got) else 0.0
-    checks = [check(f"{picture}_vs_oracle", worst, ODE_RTOL, "closed-form spectrum")]
-    env = make_envelope(argv, {
-        "picture": picture, "levels": k, "mesh": mesh, "c0": params.c0,
-        "c1": params.c1, "c2": params.c2, "hbar": hbar, "omega": omega,
-    }, results, checks)
-    code = EXIT_OK if all(c["passed"] for c in checks) else EXIT_INVARIANT
-    return env, code
+ODE = Pictures({
+    "kepler-radial": ([Param("Lambda", float, 0.0), C0, HBAR, *SOLVE], lambda v: _solved(
+        v, spectra.kepler_radial_spectrum, spectra.kepler_radial_oracle,
+        v["Lambda"], model(v))),
+    "kepler-angular": ([*J_L, *COUPLINGS, HBAR, *SOLVE], lambda v: _solved(
+        v, spectra.kepler_angular_spectrum, spectra.kepler_angular_oracle,
+        v["J"], v["L"], model(v))),
+    "osc-radial": ([Param("Gamma", float, 0.0), OMEGA, HBAR, *SOLVE], lambda v: _solved(
+        v, spectra.oscillator_radial_spectrum, spectra.oscillator_radial_oracle,
+        v["Gamma"], v["omega"], v["hbar"])),
+    "osc-angular": ([*T_K, *LAMBDAS, HBAR, *SOLVE], lambda v: _solved(
+        v, spectra.oscillator_angular_spectrum, spectra.oscillator_angular_oracle,
+        v["T"], v["K"], v["lambda1"], v["lambda2"], v["hbar"])),
+    "cylindrical": ([*SECTOR, OMEGA, HBAR, *SOLVE], lambda v: _solved(
+        v, spectra.cylindrical_spectrum, spectra.cylindrical_oracle,
+        v["z"], v["lam_coupling"], v["omega"], v["hbar"])),
+    "parabolic": ([*J_L, *MODEL, MESH, Param("n_max", int, 2, above=-1)], _parabolic_levels),
+}, ode_report)
 
 
-def cmd_verify_duality(args, argv) -> tuple[dict, int]:
-    grid = resolve(args, "grid", str, "small")
-    seed = resolve(args, "seed", int, 0)
+def verify_duality(v: dict) -> tuple[list, list]:
+    grid = v["grid"]
     n_sample = 10_000 if grid == "full" else 1_000
-    rng = np.random.default_rng(seed)
-    eps = rng.uniform(0.1, 50.0, n_sample)
-    om = rng.uniform(0.05, 20.0, n_sample)
-    l1 = rng.uniform(0.0, 10.0, n_sample)
-    l2 = rng.uniform(0.0, 10.0, n_sample)
-    c0 = eps / 4.0
-    en = -(om ** 2) / 8.0
-    c1 = l1 / 2.0
-    c2 = l2 / 2.0
-    eps2 = 4.0 * c0
-    om2 = np.sqrt(-8.0 * en)
+    rng = np.random.default_rng(v["seed"])
+    eps, om, l1, l2 = (rng.uniform(lo, hi, n_sample)
+                       for lo, hi in ((0.1, 50.0), (0.05, 20.0), (0.0, 10.0), (0.0, 10.0)))
+    c0, en, c1, c2 = eps / 4.0, -(om ** 2) / 8.0, l1 / 2.0, l2 / 2.0
+    eps2, om2 = 4.0 * c0, np.sqrt(-8.0 * en)
     ulps = np.concatenate([
         np.abs(eps2 - eps) / np.spacing(np.abs(eps)),
         np.abs(om2 - om) / np.spacing(np.abs(om)),
@@ -384,18 +332,10 @@ def cmd_verify_duality(args, argv) -> tuple[dict, int]:
     roundtrip_ulp = float(np.max(ulps))
 
     couplings = [0.0, 0.5, 1.5] if grid == "full" else [0.0, 0.5]
-    zs = [0.0, 1.0]
     nmax = 5 if grid == "full" else 2
-    points = []
-    for c1v in couplings:
-        for c2v in couplings:
-            for z in zs:
-                for n in range(nmax + 1):
-                    for lam_extra in range(nmax + 1):
-                        points.append((c1v, c2v, z, n, lam_extra))
-
     identity_worst = 0.0
-    for c1v, c2v, z, n, lam_extra in points:
+    for c1v, c2v, z, n, lam_extra in itertools.product(
+            couplings, couplings, (0.0, 1.0), range(nmax + 1), range(nmax + 1)):
         p = ModelParams(c0=1.0, c1=c1v, c2=c2v)
         lam = int(2 * z + lam_extra)
         for picture, labels in (
@@ -416,79 +356,102 @@ def cmd_verify_duality(args, argv) -> tuple[dict, int]:
         check("spectrum_identity", identity_worst, IDENTITY_RTOL,
               "algebraic master formula under level identifications"),
     ]
-    env = make_envelope(argv, {"grid": grid, "seed": seed}, results, checks)
-    code = EXIT_OK if all(c["passed"] for c in checks) else EXIT_INVARIANT
-    return env, code
+    return results, checks
 
 
-def cmd_verify_residuals(args, argv) -> tuple[dict, int]:
-    picture = resolve(args, "picture", str, "kepler-angular")
-    params = model_params(args)
-    n_points = resolve(args, "points", int, 2001)
-    omega = resolve(args, "omega", float, 1.0)
-    hbar = params.hbar
-    if picture == "kepler-angular":
-        lam = resolve(args, "lam", int, 1)
-        J = resolve(args, "J", float, 0.0)
-        L = resolve(args, "L", float, 0.0)
-        val = specfun.angular_residual(
-            "kepler_hyperspherical", lam, J, L,
-            couplings=(params.c1, params.c2), hbar=hbar, n_points=n_points)
-    elif picture == "osc-angular":
-        lam = resolve(args, "lam", int, 1)
-        T = resolve(args, "T", float, 0.0)
-        K = resolve(args, "K", float, 0.0)
-        lam1 = resolve(args, "lambda1", float, 0.0)
-        lam2 = resolve(args, "lambda2", float, 0.0)
-        val = specfun.angular_residual(
-            "oscillator_euler", lam, T, K,
-            couplings=(lam1, lam2), hbar=hbar, n_points=n_points)
-    elif picture == "kepler-radial":
-        n = resolve(args, "n", int, 0)
-        lam_eff = resolve(args, "lam_eff", float, 0.0)
-        val = specfun.kepler_radial_residual(n, lam_eff, params, n_points=n_points)
-    elif picture == "osc-radial":
-        n = resolve(args, "n", int, 0)
-        lam_eff = resolve(args, "lam_eff", float, 0.0)
-        val = specfun.oscillator_radial_residual(n, lam_eff, omega, hbar, n_points=n_points)
-    elif picture == "parabolic":
-        n1 = resolve(args, "n1", int, 0)
-        n2 = resolve(args, "n2", int, 0)
-        J = resolve(args, "J", float, 0.0)
-        L = resolve(args, "L", float, 0.0)
-        kappa, lam_tilde, _ = specfun.parabolic_pair_parameters(n1, n2, J, L, params)
-        val = max(
-            specfun.parabolic_residual("mu", n1, J, params.c1, kappa, lam_tilde, params, n_points),
-            specfun.parabolic_residual("nu", n2, L, params.c2, kappa, lam_tilde, params, n_points),
-        )
-    elif picture == "cylindrical":
-        n = resolve(args, "n", int, 1)
-        z = resolve(args, "z", float, 0.0)
-        lamc = resolve(args, "lam_coupling", float, 0.0)
-        val = specfun.cylindrical_residual(n, z, lamc, hbar, n_points=n_points)
-    else:
-        raise ValueError(f"unknown picture {picture!r}")
-    results = [row({"picture": picture}, val)]
-    checks = [check(f"{picture}_residual", val, RESIDUAL_TOL,
-                    "closed-form solution satisfies the printed equation")]
-    env = make_envelope(argv, {"picture": picture, "points": n_points}, results, checks)
-    code = EXIT_OK if all(c["passed"] for c in checks) else EXIT_INVARIANT
-    return env, code
+def _parabolic_residual(v: dict) -> float:
+    params = model(v)
+    n1, n2, J, L, n_points = v["n1"], v["n2"], v["J"], v["L"], v["points"]
+    kappa, lam_tilde, _ = specfun.parabolic_pair_parameters(n1, n2, J, L, params)
+    return max(
+        specfun.parabolic_residual("mu", n1, J, params.c1, kappa, lam_tilde, params, n_points),
+        specfun.parabolic_residual("nu", n2, L, params.c2, kappa, lam_tilde, params, n_points),
+    )
 
 
-# --------------------------------------------------------------------- argv
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "plain"), default=None)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--config", default=None, help="key = value config file")
+def residual_report(picture: str, val: float) -> tuple[list, list]:
+    return [row({"picture": picture}, val)], [check(
+        f"{picture}_residual", val, RESIDUAL_TOL,
+        "closed-form solution satisfies the printed equation")]
 
 
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c0", type=float, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
+RESIDUALS = Pictures({
+    "kepler-angular": ([LAM, *J_L, *COUPLINGS, HBAR, POINTS], lambda v: specfun.angular_residual(
+        "kepler_hyperspherical", v["lam"], v["J"], v["L"],
+        couplings=(v["c1"], v["c2"]), hbar=v["hbar"], n_points=v["points"])),
+    "osc-angular": ([LAM, *T_K, *LAMBDAS, HBAR, POINTS], lambda v: specfun.angular_residual(
+        "oscillator_euler", v["lam"], v["T"], v["K"],
+        couplings=(v["lambda1"], v["lambda2"]), hbar=v["hbar"], n_points=v["points"])),
+    "kepler-radial": ([Param("n", int, 0), LAM_EFF, C0, HBAR, POINTS],
+                      lambda v: specfun.kepler_radial_residual(
+                          v["n"], v["lam_eff"], model(v), n_points=v["points"])),
+    "osc-radial": ([Param("n", int, 0), LAM_EFF, OMEGA, HBAR, POINTS],
+                   lambda v: specfun.oscillator_radial_residual(
+                       v["n"], v["lam_eff"], v["omega"], v["hbar"], n_points=v["points"])),
+    "parabolic": ([Param("n1", int, 0), Param("n2", int, 0), *J_L, *MODEL, POINTS],
+                  _parabolic_residual),
+    "cylindrical": ([Param("n", int, 1), *SECTOR, HBAR, POINTS],
+                    lambda v: specfun.cylindrical_residual(
+                        v["n"], v["z"], v["lam_coupling"], v["hbar"], n_points=v["points"])),
+}, residual_report)
+
+
+COMMANDS = {
+    "spectrum": {
+        "kepler5d": ([*MODEL, *L4_T, Param("p_max", int, 3), *J_L], spectrum_kepler5d),
+        "osc8d": ([OMEGA, HBAR, *LAMBDAS, *T_K, Param("levels", int, 3)], spectrum_osc8d),
+    },
+    "verify": {
+        "algebra": ([Param("p", int, 4), *MODEL, *L4_T], verify_algebra),
+        "ode": ODE,
+        "duality": ([Param("grid", str, "small", ("small", "full")), Param("seed", int, 0)],
+                    verify_duality),
+        "residuals": RESIDUALS,
+    },
+}
+
+
+# ----------------------------------------------------------------- boundary
+
+def load_config(path: str) -> dict:
+    cfg = {}
+    with open(path) as fh:
+        for ln, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{ln}: expected 'key = value'")
+            key, val = (s.strip() for s in line.split("=", 1))
+            cfg[key.replace("-", "_")] = val
+    return cfg
+
+
+def declared(entry) -> list[Param]:
+    """Every parameter a command accepts, once per name."""
+    decls = ([entry.picture, *(p for d, _ in entry.table.values() for p in d)]
+             if isinstance(entry, Pictures) else entry[0])
+    return list({p.name: p for p in decls}.values())
+
+
+def resolve(p: Param, args: argparse.Namespace, cfg: dict):
+    """Flag beats config file beats the declared default; a value from a
+    flag or the file is checked against the declaration."""
+    value = getattr(args, p.name)
+    if value is None and p.name in cfg:
+        try:
+            value = p.type(cfg[p.name])
+        except ValueError:
+            raise ValueError(f"{p.name} must be {p.type.__name__}, got {cfg[p.name]!r}") from None
+    if value is None:
+        return p.default
+    if p.choices is not None and value not in p.choices:
+        raise ValueError(f"{p.name} must be one of {', '.join(p.choices)}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{p.name} must be finite, got {value!r}")
+    if p.above is not None and not value > p.above:
+        raise ValueError(f"{p.name} must be greater than {p.above}, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,117 +460,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="5D Kepler-monopole / 8D oscillator spectrum toolkit",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="closed-form level tables")
-    spsub = sp.add_subparsers(dest="system", required=True)
-    k5 = spsub.add_parser("kepler5d")
-    _add_model(k5)
-    k5.add_argument("--l4", type=float, default=None)
-    k5.add_argument("--T", type=float, default=None)
-    k5.add_argument("--p-max", dest="p_max", type=int, default=None)
-    k5.add_argument("--J", type=float, default=None, help="degeneracy label")
-    k5.add_argument("--L", type=float, default=None, help="degeneracy label")
-    _add_common(k5)
-    o8 = spsub.add_parser("osc8d")
-    o8.add_argument("--omega", type=float, default=None)
-    o8.add_argument("--hbar", type=float, default=None)
-    o8.add_argument("--lambda1", type=float, default=None)
-    o8.add_argument("--lambda2", type=float, default=None)
-    o8.add_argument("--T", type=float, default=None)
-    o8.add_argument("--K", type=float, default=None)
-    o8.add_argument("--levels", type=int, default=None)
-    _add_common(o8)
-
-    vf = sub.add_parser("verify", help="verification reports")
-    vfsub = vf.add_subparsers(dest="what", required=True)
-
-    va = vfsub.add_parser("algebra")
-    _add_model(va)
-    va.add_argument("--p", type=int, default=None)
-    va.add_argument("--l4", type=float, default=None)
-    va.add_argument("--T", type=float, default=None)
-    _add_common(va)
-
-    vo = vfsub.add_parser("ode")
-    vo.add_argument("--picture", choices=(
-        "kepler-radial", "kepler-angular", "osc-radial", "osc-angular",
-        "cylindrical", "parabolic"), default=None)
-    _add_model(vo)
-    vo.add_argument("--Lambda", type=float, default=None)
-    vo.add_argument("--Gamma", type=float, default=None)
-    vo.add_argument("--omega", type=float, default=None)
-    vo.add_argument("--lambda1", type=float, default=None)
-    vo.add_argument("--lambda2", type=float, default=None)
-    vo.add_argument("--J", type=float, default=None)
-    vo.add_argument("--L", type=float, default=None)
-    vo.add_argument("--T", type=float, default=None)
-    vo.add_argument("--K", type=float, default=None)
-    vo.add_argument("--z", type=float, default=None)
-    vo.add_argument("--lam-coupling", dest="lam_coupling", type=float, default=None)
-    vo.add_argument("--levels", type=int, default=None)
-    vo.add_argument("--mesh", type=int, default=None)
-    vo.add_argument("--n-max", dest="n_max", type=int, default=None)
-    _add_common(vo)
-
-    vd = vfsub.add_parser("duality")
-    vd.add_argument("--grid", choices=("small", "full"), default=None)
-    vd.add_argument("--seed", type=int, default=None)
-    _add_common(vd)
-
-    vr = vfsub.add_parser("residuals")
-    vr.add_argument("--picture", choices=(
-        "kepler-angular", "osc-angular", "kepler-radial", "osc-radial",
-        "parabolic", "cylindrical"), default=None)
-    _add_model(vr)
-    vr.add_argument("--lam", type=int, default=None)
-    vr.add_argument("--lam-eff", dest="lam_eff", type=float, default=None)
-    vr.add_argument("--J", type=float, default=None)
-    vr.add_argument("--L", type=float, default=None)
-    vr.add_argument("--T", type=float, default=None)
-    vr.add_argument("--K", type=float, default=None)
-    vr.add_argument("--z", type=float, default=None)
-    vr.add_argument("--lam-coupling", dest="lam_coupling", type=float, default=None)
-    vr.add_argument("--lambda1", type=float, default=None)
-    vr.add_argument("--lambda2", type=float, default=None)
-    vr.add_argument("--omega", type=float, default=None)
-    vr.add_argument("--n", type=int, default=None)
-    vr.add_argument("--n1", type=int, default=None)
-    vr.add_argument("--n2", type=int, default=None)
-    vr.add_argument("--points", type=int, default=None)
-    _add_common(vr)
+    groups = ap.add_subparsers(dest="group", required=True)
+    for group, commands in COMMANDS.items():
+        names = groups.add_parser(group).add_subparsers(dest="name", required=True)
+        for name, entry in commands.items():
+            sub = names.add_parser(name)
+            for p in [*declared(entry), *OUTPUT, CONFIG]:
+                sub.add_argument("--" + p.name.replace("_", "-"), type=p.type, choices=p.choices)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad input, 0 on --help/--version
         return int(exc.code or 0)
     try:
-        cfg = load_config(args.config) if getattr(args, "config", None) else {}
-        check_config_keys(cfg, args)
-        args._cfg = cfg
-        if args.command == "spectrum":
-            handler = {"kepler5d": cmd_spectrum_kepler5d, "osc8d": cmd_spectrum_osc8d}[args.system]
+        cfg = load_config(args.config) if args.config else {}
+        entry = COMMANDS[args.group][args.name]
+        label = f"{args.group} {args.name}"
+        if isinstance(entry, Pictures):
+            picture = resolve(entry.picture, args, cfg)
+            decls, run = entry.plan(picture)
+            label += f" --picture {picture}"
         else:
-            handler = {
-                "algebra": cmd_verify_algebra,
-                "ode": cmd_verify_ode,
-                "duality": cmd_verify_duality,
-                "residuals": cmd_verify_residuals,
-            }[args.what]
-        envelope, code = handler(args, ["monopole-spectra"] + argv)
-        fmt = resolve(args, "format", str, "json")
-        emit(envelope, fmt, resolve(args, "out", str, None))
-        return code
+            decls, run = entry
+        supplied = {p.name for p in declared(entry) + OUTPUT if getattr(args, p.name) is not None}
+        unread = sorted((supplied | set(cfg)) - {p.name for p in decls + OUTPUT})
+        if unread:
+            raise ValueError(f"{label} does not read {', '.join(unread)}")
+        values = {p.name: resolve(p, args, cfg) for p in decls}
+        fmt, out = (resolve(p, args, cfg) for p in OUTPUT)
+        results, checks = run(values)
+        emit({
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "command": " ".join(["monopole-spectra"] + argv),
+            "params": values,
+            "results": results,
+            "checks": checks,
+        }, fmt, out)
+        return EXIT_OK if all(c["passed"] for c in checks) else EXIT_INVARIANT
     except (ConvergenceFailure, NoIntersection) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (NegativeRadicand, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MonopoleSpectraError as exc:

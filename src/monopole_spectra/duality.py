@@ -24,15 +24,6 @@ from .params import ModelParams, QuantumNumbers
 from .specfun import delta_exponents
 
 
-@dataclass(frozen=True)
-class DualityMap:
-    """One application of the parameter map, with both parameter records."""
-
-    direction: str
-    inputs: dict
-    outputs: dict
-
-
 def kepler_from_oscillator(
     epsilon: float, omega: float, lam1: float, lam2: float
 ) -> tuple[float, float, float, float]:
@@ -49,24 +40,6 @@ def oscillator_from_kepler(
     if E >= 0:
         raise NonNegativeEnergy(f"bound-state energy must be negative, got {E}")
     return 4.0 * c0, math.sqrt(-8.0 * E), 2.0 * c1, 2.0 * c2
-
-
-def kepler_map(epsilon: float, omega: float, lam1: float, lam2: float) -> DualityMap:
-    c0, e, c1, c2 = kepler_from_oscillator(epsilon, omega, lam1, lam2)
-    return DualityMap(
-        direction="kepler_from_oscillator",
-        inputs={"epsilon": epsilon, "omega": omega, "lam1": lam1, "lam2": lam2},
-        outputs={"c0": c0, "E": e, "c1": c1, "c2": c2},
-    )
-
-
-def oscillator_map(c0: float, E: float, c1: float, c2: float) -> DualityMap:
-    eps, omega, lam1, lam2 = oscillator_from_kepler(c0, E, c1, c2)
-    return DualityMap(
-        direction="oscillator_from_kepler",
-        inputs={"c0": c0, "E": E, "c1": c1, "c2": c2},
-        outputs={"epsilon": eps, "omega": omega, "lam1": lam1, "lam2": lam2},
-    )
 
 
 @dataclass(frozen=True)

@@ -113,13 +113,40 @@ def _d2_4(f: np.ndarray, h: float) -> np.ndarray:
     )
 
 
+def _margin(n_points: int, margin_frac: float) -> int:
+    """Grid points excluded per end: margin_frac of the grid, at least 5."""
+    return max(5, int(round(margin_frac * n_points)))
+
+
+def _grid(lo: float, hi: float, n_points: int, margin_frac: float) -> tuple[np.ndarray, float]:
+    """Uniform residual grid and its spacing; the margin must leave interior
+    points (at the default margin, at least 11 grid points)."""
+    m = _margin(n_points, margin_frac)
+    if n_points <= 2 * m:
+        raise ValueError(
+            f"n_points={n_points} leaves no interior points after the {m}-point "
+            f"margin per end; use more than {2 * m} points")
+    x = np.linspace(lo, hi, n_points)
+    return x, x[1] - x[0]
+
+
 def _trim(res: np.ndarray, n_points: int, margin_frac: float) -> np.ndarray:
-    # res is indexed from grid point 2 .. n-3; cut margin_frac of the grid per end
-    m = max(5, int(round(margin_frac * n_points)))
-    lo, hi = m - 2, res.size - (m - 2)
-    if lo >= hi:
-        raise ValueError("margin leaves no interior points")
-    return res[lo:hi]
+    # res is indexed from grid point 2 .. n-3; cut the margin per end
+    m = _margin(n_points, margin_frac)
+    return res[m - 2:res.size - (m - 2)]
+
+
+def exp_cutoff(kappa: float, power: float, cut: float) -> float:
+    """x beyond which exp(-kappa*x/2) * x^power is below cut * its peak."""
+    x_peak = max(2.0 * power / kappa, 1e-12)
+    target = math.log(1.0 / cut)
+    x = x_peak + 2.0 * target / kappa
+    for _ in range(80):
+        x_new = (2.0 / kappa) * (target + power * max(0.0, math.log(x / x_peak))) + x_peak
+        if abs(x_new - x) < 1e-10 * x:
+            return x_new
+        x = x_new
+    return x
 
 
 def angular_residual(
@@ -156,8 +183,7 @@ def angular_residual(
     d1, d2 = deltas.delta1, deltas.delta2
     c1, c2 = couplings
 
-    th = np.linspace(THETA_EDGE, math.pi - THETA_EDGE, n_points)
-    h = th[1] - th[0]
+    th, h = _grid(THETA_EDGE, math.pi - THETA_EDGE, n_points, margin_frac)
     x = np.cos(th)
     pj = np.array([jacobi_p(m, d2 + z2 + 1.0, d1 + z1 + 1.0, xi) for xi in x])
     f = (1.0 + x) ** (0.5 * (d1 + z1)) * (1.0 - x) ** (0.5 * (d2 + z2)) * pj
@@ -183,20 +209,6 @@ def angular_residual(
     return float(np.max(np.abs(_trim(res, n_points, margin_frac))))
 
 
-def _radial_cutoff(kappa: float, power: float, cut: float = ENVELOPE_CUT) -> float:
-    """r beyond which exp(-kappa*r/2) * r^power is below cut * its peak."""
-    r_peak = max(2.0 * power / kappa, 1e-12)
-    target = math.log(1.0 / cut)
-    r = r_peak + 2.0 * target / kappa
-    for _ in range(80):
-        r_new = (2.0 / kappa) * (target + power * max(0.0, math.log(r / r_peak))) + r_peak
-        if abs(r_new - r) < 1e-10 * r:
-            r = r_new
-            break
-        r = r_new
-    return r
-
-
 def kepler_radial_residual(
     n: int,
     lam_eff: float,
@@ -212,9 +224,7 @@ def kepler_radial_residual(
     hb2 = params.hbar ** 2
     kappa = 2.0 * params.c0 / (hb2 * (n + lam_eff + 2.0))
     energy = -(kappa ** 2) * hb2 / 8.0
-    r_hi = _radial_cutoff(kappa, lam_eff + n)
-    r = np.linspace(RADIAL_EDGE, r_hi, n_points)
-    h = r[1] - r[0]
+    r, h = _grid(RADIAL_EDGE, exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT), n_points, margin_frac)
     f = np.exp(-0.5 * kappa * r) * (kappa * r) ** lam_eff * np.array(
         [kummer_poly(n, 4.0 + 2.0 * lam_eff, kappa * ri) for ri in r]
     )
@@ -243,9 +253,8 @@ def oscillator_radial_residual(
     """Residual of the 8D radial equation; Gamma = 4*lam_eff*(lam_eff+3)."""
     kappa = omega / hbar
     eps = 2.0 * hbar * omega * (n + lam_eff + 2.0)
-    u_hi = math.sqrt(_radial_cutoff(kappa, lam_eff + n))
-    u = np.linspace(RADIAL_EDGE, u_hi, n_points)
-    h = u[1] - u[0]
+    u_hi = math.sqrt(exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT))
+    u, h = _grid(RADIAL_EDGE, u_hi, n_points, margin_frac)
     xi = kappa * u ** 2
     f = np.exp(-0.5 * xi) * xi ** lam_eff * np.array(
         [kummer_poly(n, 4.0 + 2.0 * lam_eff, x) for x in xi]
@@ -301,9 +310,7 @@ def parabolic_residual(
     d = -1.0 + math.sqrt(4.0 * coupling / hb2 + (2.0 * z + 1.0) ** 2) - z
     a = 0.5 * (d + z)
     energy = -hb2 * kappa ** 2 / 2.0
-    x_hi = _radial_cutoff(kappa, a + n)
-    x = np.linspace(RADIAL_EDGE, x_hi, n_points)
-    h = x[1] - x[0]
+    x, h = _grid(RADIAL_EDGE, exp_cutoff(kappa, a + n, ENVELOPE_CUT), n_points, margin_frac)
     f = np.exp(-0.5 * kappa * x) * (kappa * x) ** a * np.array(
         [kummer_poly(n, d + z + 2.0, kappa * xi) for xi in x]
     )
@@ -335,9 +342,7 @@ def cylindrical_residual(
     d = -1.0 + math.sqrt(2.0 * coupling / hbar ** 2 + (2.0 * z + 1.0) ** 2) - z
     a = 0.5 * (d + z)
     e = n + 0.5 * (d + z + 2.0)
-    x_hi = _radial_cutoff(1.0, a + n)
-    x = np.linspace(RADIAL_EDGE, x_hi, n_points)
-    h = x[1] - x[0]
+    x, h = _grid(RADIAL_EDGE, exp_cutoff(1.0, a + n, ENVELOPE_CUT), n_points, margin_frac)
     f = np.exp(-0.5 * x) * x ** a * np.array(
         [kummer_poly(n, d + z + 2.0, xi) for xi in x]
     )

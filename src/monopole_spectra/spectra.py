@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NoIntersection
 from .params import ModelParams
-from .specfun import delta_exponents
+from .specfun import delta_exponents, exp_cutoff
 
 ENVELOPE_CUT = 1e-14
 
@@ -35,13 +35,19 @@ ENVELOPE_CUT = 1e-14
 class SturmLiouvilleProblem:
     """-chi'' + V(x) chi = lambda chi on (x_min, x_max), Dirichlet ends.
 
-    V(x) = inv_x/x + inv_x2/x^2 + lin*x + quad*x^2 + const.
+    V(x) = inv_x/x + inv_x2/x^2 + csc2/sin^2 x + inv_1m_cos/(1 - cos x)
+           + inv_1p_cos/(1 + cos x) + lin*x + quad*x^2 + const.
     x_min = 0 places the wall exactly at the origin (exact for solutions
     vanishing there); grid nodes are interior, so V is never evaluated at 0.
+    The angular terms are singular at x = 0 and pi, the ends of the angular
+    domain.
     """
 
     inv_x: float = 0.0
     inv_x2: float = 0.0
+    csc2: float = 0.0
+    inv_1m_cos: float = 0.0
+    inv_1p_cos: float = 0.0
     lin: float = 0.0
     quad: float = 0.0
     const: float = 0.0
@@ -52,16 +58,15 @@ class SturmLiouvilleProblem:
         if self.domain[0] < 0 or self.domain[1] <= self.domain[0]:
             raise ValueError(f"domain must satisfy 0 <= x_min < x_max, got {self.domain}")
         if self.mesh_size < 3:
-            raise ValueError("mesh_size must be at least 3")
+            raise ValueError(f"mesh_size must be at least 3, got {self.mesh_size}")
 
     def potential(self, x: np.ndarray) -> np.ndarray:
-        return (
-            self.inv_x / x
-            + self.inv_x2 / (x * x)
-            + self.lin * x
-            + self.quad * x * x
-            + self.const
-        )
+        v = self.inv_x / x + self.inv_x2 / (x * x)
+        if self.csc2 or self.inv_1m_cos or self.inv_1p_cos:
+            cs = np.cos(x)
+            v = (v + self.csc2 / np.sin(x) ** 2 + self.inv_1m_cos / (1.0 - cs)
+                 + self.inv_1p_cos / (1.0 + cs))
+        return v + self.lin * x + self.quad * x * x + self.const
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,8 @@ def solve_lowest(problem: SturmLiouvilleProblem, k: int, mesh: int | None = None
     from scipy.linalg import eigh_tridiagonal
 
     n = mesh if mesh is not None else problem.mesh_size
+    if not 1 <= k <= n:
+        raise ValueError(f"cannot resolve {k} levels on mesh {n}: need 1 <= levels <= mesh")
     x = np.linspace(problem.domain[0], problem.domain[1], n + 2)[1:-1]
     h = x[1] - x[0]
     diag = 2.0 / h ** 2 + problem.potential(x)
@@ -94,23 +101,21 @@ def solve_lowest(problem: SturmLiouvilleProblem, k: int, mesh: int | None = None
     )
 
 
-def _extrapolate(coarse: np.ndarray, fine: np.ndarray, conv_tol: float):
-    rich = (4.0 * fine - coarse) / 3.0
-    spec_scale = float(np.max(np.abs(rich))) if rich.size else 1.0
-    scale = np.maximum(np.abs(rich), 1e-3 * spec_scale + 1e-300)
-    converged = np.abs(rich - fine) / scale <= conv_tol
-    return rich, converged
-
-
 def _richardson_solve(
     problem: SturmLiouvilleProblem, k: int, conv_tol: float, strict: bool
 ) -> EigenResult:
-    coarse = solve_lowest(problem, k, problem.mesh_size)
-    fine = solve_lowest(problem, k, 2 * problem.mesh_size)
-    rich, converged = _extrapolate(coarse, fine, conv_tol)
+    n = problem.mesh_size
+    coarse = solve_lowest(problem, k, n)
+    fine = solve_lowest(problem, k, 2 * n)
+    rich = (4.0 * fine - coarse) / 3.0
+    scale = np.maximum(np.abs(rich), 1e-3 * float(np.max(np.abs(rich))) + 1e-300)
+    delta = np.abs(rich - fine) / scale
+    converged = delta <= conv_tol
     if strict and not np.all(converged):
+        worst = int(np.argmax(delta))
         raise ConvergenceFailure(
-            f"Richardson disagreement beyond conv_tol={conv_tol}"
+            f"level {worst}: relative Richardson delta {delta[worst]:.3g} exceeds "
+            f"conv_tol={conv_tol} on meshes ({n}, {2 * n})"
         )
     return EigenResult(
         eigenvalues=fine,
@@ -119,19 +124,6 @@ def _richardson_solve(
         mesh_size=problem.mesh_size,
         conv_tol=conv_tol,
     )
-
-
-def _exp_cutoff(kappa: float, power: float, cut: float = ENVELOPE_CUT) -> float:
-    """x beyond which exp(-kappa*x/2)*x^power < cut * peak."""
-    x_peak = max(2.0 * power / kappa, 1e-12)
-    target = math.log(1.0 / cut)
-    x = x_peak + 2.0 * target / kappa
-    for _ in range(80):
-        x_new = (2.0 / kappa) * (target + power * max(0.0, math.log(x / x_peak))) + x_peak
-        if abs(x_new - x) < 1e-10 * x:
-            return x_new
-        x = x_new
-    return x
 
 
 def exponent_from_separation(sep: float) -> float:
@@ -179,28 +171,11 @@ def _angular_solve(
     q1: float, q2: float, k: int, mesh: int, conv_tol: float, strict: bool
 ) -> EigenResult:
     # -chi'' + [3/4 csc^2 + 2 q2/(1-cos) + 2 q1/(1+cos) - 9/4] chi = sep * chi
-    from scipy.linalg import eigh_tridiagonal
-
-    def lowest(n: int) -> np.ndarray:
-        th = np.linspace(0.0, math.pi, n + 2)[1:-1]
-        h = th[1] - th[0]
-        cs = np.cos(th)
-        v = (
-            0.75 / np.sin(th) ** 2
-            + 2.0 * q2 / (1.0 - cs)
-            + 2.0 * q1 / (1.0 + cs)
-            - 2.25
-        )
-        diag = 2.0 / h ** 2 + v
-        off = np.full(n - 1, -1.0 / h ** 2)
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-
-    coarse = lowest(mesh)
-    fine = lowest(2 * mesh)
-    rich, converged = _extrapolate(coarse, fine, conv_tol)
-    if strict and not np.all(converged):
-        raise ConvergenceFailure("angular spectrum did not converge")
-    return EigenResult(fine, rich, converged, mesh, conv_tol)
+    problem = SturmLiouvilleProblem(
+        csc2=0.75, inv_1m_cos=2.0 * q2, inv_1p_cos=2.0 * q1, const=-2.25,
+        domain=(0.0, math.pi), mesh_size=mesh,
+    )
+    return _richardson_solve(problem, k, conv_tol, strict)
 
 
 def kepler_angular_spectrum(
@@ -246,7 +221,7 @@ def oscillator_radial_spectrum(
     hb2 = hbar ** 2
     g = 0.5 * (-3.0 + math.sqrt(9.0 + gamma))
     # Gaussian envelope exp(-omega u^2 / (2 hbar)) ~ exp(-kappa x / 2) in x=u^2
-    x_max = _exp_cutoff(omega / hbar, g + (k - 1) + 1.75)
+    x_max = exp_cutoff(omega / hbar, g + (k - 1) + 1.75, ENVELOPE_CUT)
     u_max = math.sqrt(x_max)
     # chi = u^(7/2) R(u)
     problem = SturmLiouvilleProblem(
@@ -311,7 +286,7 @@ def cylindrical_problem(
         raise ValueError("z, lam_coupling must be non-negative and omega positive")
     hb2 = hbar ** 2
     d = -1.0 + math.sqrt(2.0 * lam_coupling / hb2 + (2.0 * z + 1.0) ** 2) - z
-    x_max = _exp_cutoff(omega / hbar, 0.5 * (d + z) + (k - 1) + 0.75)
+    x_max = exp_cutoff(omega / hbar, 0.5 * (d + z) + (k - 1) + 0.75, ENVELOPE_CUT)
     q = z * (z + 1.0) + 0.5 * lam_coupling / hb2
     return SturmLiouvilleProblem(
         inv_x2=4.0 * q + 0.75,

@@ -237,3 +237,112 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def config_file(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+class TestParameterTables:
+    """Each parameter is declared once; flags, config parsing, checks and
+    the params echo all come from the declaration."""
+
+    def test_config_choice_is_checked(self, tmp_path, capsys):
+        code = main(["verify", "duality", "--config", config_file(tmp_path, "grid = bogus\n")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "grid" in captured.err
+
+    def test_config_value_is_typed(self, tmp_path, capsys):
+        code = main(["verify", "ode", "--config", config_file(tmp_path, "levels = 3.5\n")])
+        assert code == 2
+        assert "levels" in capsys.readouterr().err
+
+    def test_flag_the_picture_does_not_read_exit_2(self, capsys):
+        code = main(["verify", "ode", "--picture", "parabolic", "--levels", "7"])
+        assert code == 2
+        assert "levels" in capsys.readouterr().err
+
+    def test_config_key_the_picture_does_not_read_exit_2(self, tmp_path, capsys):
+        code = main(["verify", "ode", "--picture", "kepler-radial",
+                     "--config", config_file(tmp_path, "omega = 2\n")])
+        assert code == 2
+        assert "omega" in capsys.readouterr().err
+
+    def test_negative_n_max_exit_2(self, capsys):
+        code = main(["verify", "ode", "--picture", "parabolic", "--n-max", "-1"])
+        assert code == 2
+        assert "n_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("picture, extra, echoed", [
+        ("kepler-radial", [], {"Lambda", "c0", "hbar", "levels", "mesh"}),
+        ("kepler-angular", [], {"J", "L", "c1", "c2", "hbar", "levels", "mesh"}),
+        ("osc-radial", [], {"Gamma", "omega", "hbar", "levels", "mesh"}),
+        ("osc-angular", [], {"T", "K", "lambda1", "lambda2", "hbar", "levels", "mesh"}),
+        ("cylindrical", [], {"z", "lam_coupling", "omega", "hbar", "levels", "mesh"}),
+        ("parabolic", ["--n-max", "1"], {"J", "L", "c0", "c1", "c2", "hbar", "mesh", "n_max"}),
+    ])
+    def test_ode_echoes_what_the_picture_reads(self, picture, extra, echoed, capsys):
+        code, env = run_json(["verify", "ode", "--picture", picture, "--mesh", "1000"] + extra,
+                             capsys)
+        assert code == 0
+        assert set(env["params"]) == echoed | {"picture"}
+
+    def test_residuals_echo_what_the_picture_reads(self, capsys):
+        code, env = run_json(
+            ["verify", "residuals", "--picture", "cylindrical", "--n", "2", "--z", "0.5",
+             "--lam-coupling", "1"], capsys)
+        assert code == 0
+        assert env["params"] == {"picture": "cylindrical", "n": 2, "z": 0.5,
+                                 "lam_coupling": 1.0, "hbar": 1.0, "points": 2001}
+
+    def test_residual_picture_defaults(self, capsys):
+        _, env = run_json(["verify", "residuals", "--picture", "osc-radial"], capsys)
+        assert env["params"]["n"] == 0
+        _, env = run_json(["verify", "residuals", "--picture", "cylindrical"], capsys)
+        assert env["params"]["n"] == 1
+        _, env = run_json(["verify", "residuals"], capsys)
+        assert env["params"]["picture"] == "kepler-angular"
+
+    @pytest.mark.parametrize("points", ["1", "3"])
+    def test_residual_grid_too_small_exit_2(self, points, capsys):
+        code = main(["verify", "residuals", "--points", points])
+        assert code == 2
+        assert "n_points" in capsys.readouterr().err
+
+    def test_angular_mesh_too_small_exit_2(self, capsys):
+        code = main(["verify", "ode", "--picture", "kepler-angular", "--mesh", "1"])
+        assert code == 2
+        assert "mesh" in capsys.readouterr().err
+
+    def test_more_levels_than_mesh_points_exit_2(self, capsys):
+        code = main(["verify", "ode", "--picture", "osc-angular", "--mesh", "3", "--levels", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "5 levels" in err and "mesh 3" in err
+
+    @pytest.mark.parametrize("picture", ["kepler-radial", "kepler-angular"])
+    def test_convergence_failure_explains_itself(self, picture, capsys):
+        code = main(["verify", "ode", "--picture", picture, "--mesh", "10"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "level " in err and "Richardson delta" in err
+        assert "conv_tol=0.001" in err and "(10, 20)" in err
+
+
+def readme_cli_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("monopole-spectra ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_commands_pass(argv, capsys):
+    code, env = run_json(argv, capsys)
+    assert code == 0
+    assert all(c["passed"] for c in env["checks"])

@@ -9,12 +9,7 @@ from monopole_spectra import (
     oscillator_from_kepler,
     spectrum_identity_check,
 )
-from monopole_spectra.duality import (
-    delta_m_match,
-    enumerate_delta_m_matches,
-    kepler_map,
-    oscillator_map,
-)
+from monopole_spectra.duality import delta_m_match, enumerate_delta_m_matches
 from monopole_spectra.errors import NonNegativeEnergy
 
 
@@ -50,12 +45,6 @@ class TestMaps:
         eps2, omega2, l12, l22 = oscillator_from_kepler(c0, e, c1, c2)
         for got, want in ((eps2, eps), (omega2, omega), (l12, l1), (l22, l2)):
             assert abs(got - want) <= 2.0 * np.spacing(abs(want)) + 1e-300
-
-    def test_map_records(self):
-        fwd = kepler_map(4.0, 1.0, 1.0, 3.0)
-        assert fwd.direction == "kepler_from_oscillator"
-        back = oscillator_map(**fwd.outputs)
-        assert back.outputs == {"epsilon": 4.0, "omega": 1.0, "lam1": 1.0, "lam2": 3.0}
 
 
 class TestIdentityCheck:

@@ -256,3 +256,14 @@ class TestSturmLiouville:
         prob = SturmLiouvilleProblem(domain=(0.0, math.pi), mesh_size=4000)
         got = solve_lowest(prob, 3)
         assert np.allclose(got, [1.0, 4.0, 9.0], rtol=1e-5)
+
+    def test_more_levels_than_mesh_points(self):
+        prob = SturmLiouvilleProblem(domain=(0.0, math.pi), mesh_size=4)
+        with pytest.raises(ValueError, match="5 levels on mesh 4"):
+            solve_lowest(prob, 5)
+
+    def test_angular_terms(self):
+        # -chi'' + [3/4 csc^2 - 9/4] chi: chi = sin^(3/2) C_m, eigenvalues m(m+3)
+        prob = SturmLiouvilleProblem(csc2=0.75, const=-2.25, domain=(0.0, math.pi),
+                                     mesh_size=2000)
+        assert np.allclose(solve_lowest(prob, 3), [0.0, 4.0, 10.0], atol=1e-3)
