@@ -24,7 +24,8 @@ from .params import AuxExponents, ModelParams, QuantumNumbers, So6Labels
 # 98304 from the raw prefactor times 4*16 from the two bracket factors
 RAW_TO_FACTORED_SCALE = 98304.0 * 64.0
 
-# margin factor for strict-positivity checks of the interior values
+# margin factor for strict-positivity checks of the interior values, relative
+# to the rounding size of each value's own evaluation
 POSITIVITY_MARGIN = 1e-12
 
 
@@ -45,28 +46,40 @@ def aux_exponents(params: ModelParams, qn: QuantumNumbers) -> AuxExponents:
     return AuxExponents(math.sqrt(r1), math.sqrt(r2))
 
 
-def structure_function_raw(
-    x: float, u: float, E: float, params: ModelParams, qn: QuantumNumbers
-) -> float:
-    """Raw degree-6 structure polynomial at x, with shift u and energy scalar E.
-
-    The central elements are substituted by their eigenvalues
-    hbar^2*l4*(l4+2) and hbar^2*T*(T+1).
-    """
+def _structure_factors(x, u: float, E: float, params: ModelParams, qn: QuantumNumbers):
+    """The two factors of the raw structure polynomial, each with the sum of
+    the magnitudes of its terms, which sets the size of its rounding error."""
     lsq = qn.lsq(params.hbar)
     tsq = qn.tsq(params.hbar)
-    c1, c2 = params.c1, params.c2
+    c0sq, c1, c2 = params.c0 ** 2, params.c1, params.c2
     s = x + u
     br = (1.0 - 2.0 * s) ** 2
-    first = 2.0 * params.c0 ** 2 + E * br
+    quad = 4.0 * s * (s - 1.0)
+    first = 2.0 * c0sq + E * br
     second = (
         4.0 * c1 ** 2
         + 4.0 * c2 ** 2
-        + br * (4.0 * s * (s - 1.0) - 4.0 * lsq - 3.0)
+        + br * (quad - 4.0 * lsq - 3.0)
         - 4.0 * c1 * (2.0 * c2 + br - 4.0 * tsq)
         + 16.0 * tsq ** 2
         - 4.0 * c2 * (br + 4.0 * tsq)
     )
+    # the terms of `second` that do not hold br, and those that do
+    ac1, ac2, atsq = abs(c1), abs(c2), abs(tsq)
+    flat = 4.0 * (c1 ** 2 + c2 ** 2 + 2.0 * ac1 * ac2 + 4.0 * (ac1 + ac2) * atsq) + 16.0 * tsq ** 2
+    first_size = 2.0 * c0sq + abs(E) * br
+    second_size = flat + br * (abs(quad) + (4.0 * (abs(lsq) + ac1 + ac2) + 3.0))
+    return first, second, first_size, second_size
+
+
+def structure_function_raw(x, u: float, E: float, params: ModelParams, qn: QuantumNumbers):
+    """Raw degree-6 structure polynomial at x (a float or an array), with
+    shift u and energy scalar E.
+
+    The central elements are substituted by their eigenvalues
+    hbar^2*l4*(l4+2) and hbar^2*T*(T+1).
+    """
+    first, second, _, _ = _structure_factors(x, u, E, params, qn)
     return 98304.0 * first * second
 
 
@@ -153,21 +166,18 @@ def solve_unirrep(
     # the printed structure function lives in hbar = 1 units
     e_alg = E * params.hbar ** 2
 
-    xs = np.arange(1, p + 1, dtype=float)
-    phi = np.array([structure_function_raw(x, u, e_alg, params, qn) for x in xs])
-    # sign probe at half-integers catches pairings whose zeros sit between
-    # the integer ladder points
-    probes = np.arange(0.5, p + 1.0, 1.0)
-    phi_probe = np.array(
-        [structure_function_raw(x, u, e_alg, params, qn) for x in probes]
-    )
-    scale = max(np.max(np.abs(phi), initial=0.0), np.max(np.abs(phi_probe), initial=0.0), 1.0)
-    margin = POSITIVITY_MARGIN * scale
-    if np.any(phi <= margin) or np.any(phi_probe <= margin):
+    # the ladder points x = 1..p, and a sign probe at the half-integers
+    # 1/2..p+1/2 that catches pairings whose zeros sit between them
+    first, second, first_size, second_size = _structure_factors(
+        0.5 * np.arange(1.0, 2.0 * p + 2.0), u, e_alg, params, qn)
+    # each value is judged against the rounding size of its own evaluation,
+    # so the test does not depend on p or on how large the other values are
+    if (first * second <= POSITIVITY_MARGIN * first_size * second_size).any():
         raise PositivityViolation(
             f"structure function not strictly positive on (0, {p + 1}) for "
             f"u={u}, E={E} (pairing {root_pairing})"
         )
+    phi = 98304.0 * first[1::2] * second[1::2]
     return UnirrepSolution(p=p, u=u, E=E, phi_interior=tuple(phi))
 
 

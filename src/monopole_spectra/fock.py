@@ -23,14 +23,19 @@ as measurable alternatives (see `build_generators`):
 reports the commutation residuals under both printed sign conventions for the
 linear-in-B constant and fits a single scalar rescale of rho (which is 1 up
 to rounding for the closing form, and cannot repair the printed one).
+
+A is diagonal and B tridiagonal, so every product in the relations and the
+Casimir lies within two diagonals of the main one.  The generators are held
+as bands and every measure is computed on the bands, in O(p) time and memory.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import UnirrepSolution, algebra_energy_scalar, structure_function_raw
+from .algebra import UnirrepSolution, algebra_energy_scalar
 from .errors import DiagonalPole, PositivityViolation
 from .params import ModelParams, QuantumNumbers
 
@@ -70,11 +75,46 @@ class DeformedOscillatorRep:
 
 @dataclass(frozen=True)
 class GeneratorMatrices:
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    """The generator triple as bands: A = diag(a); B symmetric tridiagonal
+    with diagonal d and off-diagonal o; C = [A, B] antisymmetric with
+    C[n, n+1] = c[n] = -C[n+1, n].  A, B and C are dense views."""
+
+    a: np.ndarray
+    d: np.ndarray
+    o: np.ndarray
+    c: np.ndarray
     diag_form: str
     rho_form: str
+
+    @property
+    def A(self) -> np.ndarray:
+        return np.diag(self.a)
+
+    @property
+    def B(self) -> np.ndarray:
+        return _dense(self.d, self.o)
+
+    @property
+    def C(self) -> np.ndarray:
+        return np.diag(self.c, 1) - np.diag(self.c, -1)
+
+
+def _dense(diag: np.ndarray, *upper: np.ndarray) -> np.ndarray:
+    """Symmetric matrix from its diagonal and its bands above it."""
+    m = np.diag(diag)
+    for k, band in enumerate(upper, 1):
+        i = np.arange(diag.size - k)
+        m[i, i + k] = m[i + k, i] = band
+    return m
+
+
+def _tridiagonal_product_diag(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Diagonal lower[n-1] + upper[n] of a product of two tridiagonal
+    matrices, given the two products of its neighbouring entries."""
+    v = np.zeros(lower.size + 1)
+    v[1:] = lower
+    v[:-1] += upper
+    return v
 
 
 @dataclass(frozen=True)
@@ -103,10 +143,9 @@ def build_rep(
     """Assemble the diagonal representation data from a unirrep solution."""
     p = sol.p
     e_alg = algebra_energy_scalar(sol, params)
-    phi = np.array(
-        [structure_function_raw(float(n), sol.u, e_alg, params, qn) for n in range(1, p + 1)]
-    )
-    if np.any(phi <= 0.0):
+    # solve_unirrep evaluated the structure function at x = 1..p already
+    phi = np.array(sol.phi_interior)
+    if (phi <= 0.0).any():
         raise PositivityViolation("structure function non-positive on the interior")
     return DeformedOscillatorRep(
         dim=p + 1,
@@ -123,7 +162,7 @@ def _diag_part(
     t: np.ndarray, params: ModelParams, tsq: float, m1sq_minus_m2sq: float, form: str
 ) -> np.ndarray:
     denom = t * t - 0.25
-    if np.any(np.abs(denom) < 1e-12):
+    if (np.abs(denom) < 1e-12).any():
         raise DiagonalPole("(n+u)^2 = 1/4 for some level")
     if form == "closure":
         num = params.c0 * m1sq_minus_m2sq / 4.0
@@ -149,23 +188,19 @@ def build_generators(
     diag_form: str = "closure",
     rho_form: str = "closure",
 ) -> GeneratorMatrices:
-    """Dense A (diagonal), B (symmetric tridiagonal) and C = [A, B]."""
+    """Banded A (diagonal), B (symmetric tridiagonal) and C = [A, B]."""
     t = rep.number_diag + rep.u
-    a = np.diag(t * t - 2.25)
+    a = t * t - 2.25
     m1sq_minus_m2sq = 2.0 * (params.c1 - params.c2) + 4.0 * rep.tsq_scalar
     d = _diag_part(t, params, rep.tsq_scalar, m1sq_minus_m2sq, diag_form)
-    b = np.diag(d)
-    if rep.dim > 1:
-        off = _rho(t[:-1], rho_form) * rep.ladder_sub
-        idx = np.arange(rep.dim - 1)
-        b[idx, idx + 1] = off
-        b[idx + 1, idx] = off
-    c = a @ b - b @ a
-    return GeneratorMatrices(A=a, B=b, C=c, diag_form=diag_form, rho_form=rho_form)
+    o = _rho(t[:-1], rho_form) * rep.ladder_sub
+    return GeneratorMatrices(a, d, o, (a[:-1] - a[1:]) * o, diag_form, rho_form)
 
 
-def _maxabs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+def _maxabs(*bands: np.ndarray) -> float:
+    """Largest magnitude over all entries of the bands (0 if all are empty)."""
+    x = bands[0] if len(bands) == 1 else np.concatenate(bands)
+    return float(np.maximum.reduce(np.abs(x), initial=0.0))
 
 
 def _g1_constants(params: ModelParams, tsq: float) -> tuple[float, float]:
@@ -179,37 +214,12 @@ def _g2_constant(params: ModelParams, h: float, lsq: float) -> float:
     return (16.0 - 4.0 * params.c1 - 4.0 * params.c2 - 4.0 * lsq) * h + 2.0 * params.c0 ** 2
 
 
-def _q2_residual(gen: GeneratorMatrices, g1: float) -> float:
-    a, b, c = gen.A, gen.B, gen.C
-    lhs = a @ c - c @ a
-    terms = [2.0 * (a @ b + b @ a), 8.0 * b, g1 * np.eye(a.shape[0])]
-    res = lhs - terms[0] - terms[1] - terms[2]
-    scale = max(_maxabs(lhs), *(_maxabs(tm) for tm in terms), 1e-300)
-    return _maxabs(res) / scale
-
-
-def _fit_rho_scale(r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> float:
-    """argmin_s || r0 + s r1 + s^2 r2 ||_F, via the cubic normal equation."""
-    c0 = float(np.sum(r0 * r1))
-    c1 = float(np.sum(r1 * r1) + 2.0 * np.sum(r0 * r2))
-    c2 = float(3.0 * np.sum(r1 * r2))
-    c3 = float(2.0 * np.sum(r2 * r2))
-    if c3 < 1e-300 and abs(c2) < 1e-300:
-        return 1.0
-    roots = np.roots([2.0 * c3, 2.0 * c2, 2.0 * c1, 2.0 * c0])
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    if real.size == 0:
-        return 1.0
-
-    def cost(s: float) -> float:
-        return float(np.sum((r0 + s * r1 + s * s * r2) ** 2))
-
-    # the sign of the off-diagonal weight is a basis gauge (|n> -> (-1)^n |n>),
-    # so among near-tied minima prefer the representative closest to +1
-    cands = sorted({float(s) for r in real for s in (r, abs(r))} | {1.0})
-    best = min(cost(s) for s in cands)
-    tied = [s for s in cands if cost(s) <= best * (1.0 + 1e-6) + 1e-300]
-    return min(tied, key=lambda s: abs(s - 1.0))
+def _b_square(gen: GeneratorMatrices) -> tuple[np.ndarray, ...]:
+    """D^2, {D, O} (band 1) and O^2 (diagonal, band 2), the pieces of
+    B_s^2 = D^2 + s {D, O} + s^2 O^2 for B_s = D + s O."""
+    d, o = gen.d, gen.o
+    o2 = o * o
+    return d * d, (d[:-1] + d[1:]) * o, _tridiagonal_product_diag(o2, o2), o[:-1] * o[1:]
 
 
 def verify_algebra(
@@ -220,48 +230,75 @@ def verify_algebra(
 ) -> AlgebraReport:
     """Measure the commutation-relation residuals of the generator triple.
 
-    Diagnostic: large residuals are data, not failure.
+    Diagnostic: large residuals are data, not failure.  Each residual is the
+    max-norm of the residual matrix over the max-norm of its largest term.
     """
-    a, b, c = gen.A, gen.B, gen.C
+    a, d, o, c = gen.a, gen.d, gen.o, gen.c
     h = rep.energy_scalar
     g1, g1_alt = _g1_constants(params, rep.tsq_scalar)
     g2 = _g2_constant(params, h, rep.lsq_scalar)
-    eye = np.eye(rep.dim)
+    # [A, X] and {A, X} on band 1 scale X's band by these
+    a_diff, a_sum = a[:-1] - a[1:], a[:-1] + a[1:]
 
-    q1 = _maxabs(c - (a @ b - b @ a)) / max(_maxabs(c), 1e-300)
-    q2 = _q2_residual(gen, g1)
-    q2_alt = _q2_residual(gen, g1_alt)
+    q1 = _maxabs(c - a_diff * o) / max(_maxabs(c), 1e-300)
 
-    # q3 residual as a quadratic matrix polynomial in the rho rescale s
-    d_mat = np.diag(np.diag(b))
-    o_mat = b - d_mat
-    c1_mat = a @ o_mat - o_mat @ a
-    r0 = 2.0 * d_mat @ d_mat - 8.0 * h * a - g2 * eye
-    r1 = d_mat @ c1_mat - c1_mat @ d_mat + 2.0 * (d_mat @ o_mat + o_mat @ d_mat)
-    r2 = o_mat @ c1_mat - c1_mat @ o_mat + 2.0 * o_mat @ o_mat
+    # [A, C] - 2{A, B} - 8B - g1: diagonal -4ad - 8d - g1, band 1 below
+    ac, ab, b8 = a_diff * c, 2.0 * a_sum * o, 8.0 * o
+    ad4, d8 = 4.0 * a * d, 8.0 * d
+    q2_band = _maxabs(ac - ab - b8)
+    q2_diag = -ad4 - d8
+    q2_scale = _maxabs(ac, ad4, ab, d8, b8)
 
-    def q3_at(s: float) -> float:
-        res = r0 + s * r1 + s * s * r2
-        b_s = d_mat + s * o_mat
-        c_s = s * c1_mat
-        lhs = b_s @ c_s - c_s @ b_s
-        scale = max(
-            _maxabs(lhs), 2.0 * _maxabs(b_s @ b_s), abs(8.0 * h) * _maxabs(a),
-            abs(g2), 1e-300,
-        )
-        return _maxabs(res) / scale
+    def q2_at(g: float) -> float:
+        return max(_maxabs(q2_diag - g), q2_band) / max(q2_scale, abs(g), 1e-300)
 
-    s_fit = _fit_rho_scale(r0, r1, r2)
-    q3_raw = q3_at(1.0)
-    q3_cal = q3_at(s_fit)
+    # the q3 residual is r0 + s r1 + s^2 r2 at the rho rescale s, with
+    # B_s = D + s O and C_s = s C1: r0 = 2D^2 - 8HA - g2 (diagonal),
+    # r1 = [D, C1] + 2{D, O} (band 1), r2 = [O, C1] + 2O^2 (diagonal, band 2)
+    dd, do, oo0, oo2 = _b_square(gen)
+    dc = (d[:-1] - d[1:]) * c
+    oc = o * c
+    oc0 = 2.0 * _tridiagonal_product_diag(oc, -oc)
+    oc2 = o[:-1] * c[1:] - c[:-1] * o[1:]
+    r0 = 2.0 * dd - 8.0 * h * a - g2
+    r1 = dc + 2.0 * do
+    r2_diag, r2_band = oc0 + 2.0 * oo0, oc2 + 2.0 * oo2
+    n1, n2 = float(r1 @ r1), float(r2_band @ r2_band)
+    m_r1, m_r2, m_dc, m_do, m_oo2 = (_maxabs(x) for x in (r1, r2_band, dc, do, oo2))
+    m_oc = _maxabs(oc0, oc2)
+    m_ha = abs(8.0 * h) * _maxabs(a)
 
-    offdiag, scalar_mismatch = casimir_check(gen, rep, params, qn, rho_scale=s_fit)
+    def q3_at(s: float) -> tuple[float, float]:
+        """(||residual||_F^2, q3 residual) at rescale s; the bands above the
+        diagonal count twice in the Frobenius norm."""
+        s2 = s * s
+        res_diag = r0 + s2 * r2_diag
+        cost = float(res_diag @ res_diag) + 2.0 * s2 * (n1 + s2 * n2)
+        res = max(_maxabs(res_diag), abs(s) * m_r1, s2 * m_r2)
+        lhs = max(abs(s) * m_dc, s2 * m_oc)  # [B_s, C_s] = s [D, C1] + s^2 [O, C1]
+        b_sq = max(_maxabs(dd + s2 * oo0), abs(s) * m_do, s2 * m_oo2)
+        return cost, res / max(lhs, 2.0 * b_sq, m_ha, abs(g2), 1e-300)
+
+    # r1 shares no entry with r0 or r2, so the cost is even in s and its
+    # stationary points are s = 0 and s^2 = -c1/c3.  The sign of the
+    # off-diagonal weight is a basis gauge (|n> -> (-1)^n |n>); among
+    # near-tied minima prefer the representative closest to +1.
+    c1 = 2.0 * (n1 + float(r0 @ r2_diag))
+    c3 = 2.0 * (float(r2_diag @ r2_diag) + 2.0 * n2)
+    cands = {1.0} if c3 < 1e-300 else {1.0, 0.0, math.sqrt(max(-c1 / c3, 0.0))}
+    evals = {s: q3_at(s) for s in cands}
+    best = min(cost for cost, _ in evals.values())
+    s_fit = min((s for s, (cost, _) in evals.items() if cost <= best * (1.0 + 1e-6) + 1e-300),
+                key=lambda s: abs(s - 1.0))
+
+    terms = _casimir_terms(gen, rep, params, s_fit, "closure", (dd, do, oo0, oo2))
+    offdiag, scalar_mismatch = _casimir_measures(terms, rep, params)
     return AlgebraReport(
         residual_q1=q1,
-        residual_q2=q2,
-        residual_q2_alt_sign=q2_alt,
-        residual_q3_raw=q3_raw,
-        residual_q3=q3_cal,
+        residual_q2=q2_at(g1),
+        residual_q2_alt_sign=q2_at(g1_alt),
+        residual_q3_raw=evals[1.0][1],
+        residual_q3=evals[s_fit][1],
         rho_calibration=s_fit,
         casimir_offdiag=offdiag,
         casimir_scalar_mismatch=scalar_mismatch,
@@ -288,12 +325,11 @@ def _casimir_terms(
     params: ModelParams,
     rho_scale: float,
     coefficients: str,
-) -> list[np.ndarray]:
-    a = gen.A
-    d_mat = np.diag(np.diag(gen.B))
-    o_mat = gen.B - d_mat
-    b = d_mat + rho_scale * o_mat
-    c = a @ b - b @ a
+    b_square: tuple[np.ndarray, ...],
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Terms of the Casimir at B_s = D + s O, s = rho_scale, as (diagonal,
+    band 1, band 2) lists; C_s = s C1 and B_s^2 comes from `_b_square`."""
+    a, d, o, c = gen.a, gen.d, gen.o, gen.c
     h = rep.energy_scalar
     tsq, lsq = rep.tsq_scalar, rep.lsq_scalar
     g1, _ = _g1_constants(params, tsq)
@@ -308,15 +344,16 @@ def _casimir_terms(
         )
     else:
         raise ValueError(f"unknown coefficients {coefficients!r}")
-    b2 = b @ b
-    return [
-        c @ c,
-        -2.0 * (a @ b2 + b2 @ a),
-        -4.0 * b2,
-        cb * b,
-        8.0 * h * (a @ a),
-        ca * a,
-    ]
+    s, s2 = rho_scale, rho_scale * rho_scale
+    dd, do, oo0, oo2 = b_square
+    b2_0, b2_1, b2_2 = dd + s2 * oo0, s * do, s2 * oo2
+    c2 = c * c
+    # C_s^2, -2{A, B_s^2}, -4 B_s^2, cb B_s, 8H A^2, ca A, band by band
+    diag = [-s2 * _tridiagonal_product_diag(c2, c2), -4.0 * a * b2_0, -4.0 * b2_0,
+            cb * d, 8.0 * h * (a * a), ca * a]
+    band1 = [-2.0 * (a[:-1] + a[1:]) * b2_1, -4.0 * b2_1, (cb * s) * o]
+    band2 = [s2 * (c[:-1] * c[1:]), -2.0 * (a[:-2] + a[2:]) * b2_2, -4.0 * b2_2]
+    return diag, band1, band2
 
 
 def casimir_matrix(
@@ -326,14 +363,25 @@ def casimir_matrix(
     rho_scale: float = 1.0,
     coefficients: str = "closure",
 ) -> np.ndarray:
-    """Cubic Casimir combination of the generators.
+    """Cubic Casimir combination of the generators, as a dense matrix.
 
     coefficients="closure" ties the linear coefficients to the commutation
     constants (-2 g1 on B, 2 g2 on A); "printed" uses the doubled coupling
     terms of the printed operator form.
     """
-    terms = _casimir_terms(gen, rep, params, rho_scale, coefficients)
-    return sum(terms[1:], terms[0])
+    terms = _casimir_terms(gen, rep, params, rho_scale, coefficients, _b_square(gen))
+    return _dense(*(sum(band[1:], band[0]) for band in terms))
+
+
+def _casimir_measures(
+    terms: tuple[list[np.ndarray], ...], rep: DeformedOscillatorRep, params: ModelParams
+) -> tuple[float, float]:
+    diag, band1, band2 = (sum(band[1:], band[0]) for band in terms)
+    k_scalar = casimir_scalar(params, rep.energy_scalar, rep.lsq_scalar, rep.tsq_scalar)
+    scale = max(abs(k_scalar), _maxabs(*terms[0], *terms[1], *terms[2]), 1e-300)
+    diag_scale = max(_maxabs(diag), scale * 1e-3, 1e-300)
+    offdiag = _maxabs(band1, band2) / diag_scale
+    return offdiag, _maxabs(diag - k_scalar) / scale
 
 
 def casimir_check(
@@ -346,12 +394,5 @@ def casimir_check(
 ) -> tuple[float, float]:
     """(max off-diagonal / diagonal scale, max diagonal deviation from the
     scalar Casimir, relative)."""
-    terms = _casimir_terms(gen, rep, params, rho_scale, coefficients)
-    k = sum(terms[1:], terms[0])
-    k_scalar = casimir_scalar(params, rep.energy_scalar, rep.lsq_scalar, rep.tsq_scalar)
-    scale = max(abs(k_scalar), *(_maxabs(tm) for tm in terms), 1e-300)
-    diag = np.diag(k)
-    diag_scale = max(float(np.max(np.abs(diag))), scale * 1e-3, 1e-300)
-    offdiag = _maxabs(k - np.diag(diag)) / diag_scale
-    mismatch = float(np.max(np.abs(diag - k_scalar))) / scale
-    return offdiag, mismatch
+    terms = _casimir_terms(gen, rep, params, rho_scale, coefficients, _b_square(gen))
+    return _casimir_measures(terms, rep, params)

@@ -19,6 +19,9 @@ from .errors import DomainError, ParameterPole
 from .params import ModelParams
 
 MARGIN_FRACTION = 0.05
+# interior points a residual grid keeps at least: a lone interior point can
+# sit at the symmetric midpoint, where the stencil error cancels
+MIN_INTERIOR = 3
 THETA_EDGE = 1e-3
 RADIAL_EDGE = 1e-3
 ENVELOPE_CUT = 1e-12
@@ -119,13 +122,14 @@ def _margin(n_points: int, margin_frac: float) -> int:
 
 
 def _grid(lo: float, hi: float, n_points: int, margin_frac: float) -> tuple[np.ndarray, float]:
-    """Uniform residual grid and its spacing; the margin must leave interior
-    points (at the default margin, at least 11 grid points)."""
+    """Uniform residual grid and its spacing; the margin must leave at least
+    MIN_INTERIOR points (at the default margin, at least 13 grid points)."""
     m = _margin(n_points, margin_frac)
-    if n_points <= 2 * m:
+    if n_points < 2 * m + MIN_INTERIOR:
         raise ValueError(
-            f"n_points={n_points} leaves no interior points after the {m}-point "
-            f"margin per end; use more than {2 * m} points")
+            f"n_points={n_points} leaves {max(n_points - 2 * m, 0)} interior points after "
+            f"the {m}-point margin per end; at least {MIN_INTERIOR} are needed, so use "
+            f"at least {2 * m + MIN_INTERIOR} points")
     x = np.linspace(lo, hi, n_points)
     return x, x[1] - x[0]
 
@@ -163,13 +167,15 @@ def angular_residual(
 ) -> float:
     """Max interior residual of the angular ODE on its closed-form solution.
 
-    lam counts z1+z2 plus the Jacobi degree; raises IndexError when the
-    implied degree lam - z1 - z2 is negative.
+    lam counts z1+z2 plus the Jacobi degree; raises DomainError when the
+    implied degree lam - z1 - z2 is not a non-negative integer.
     """
     mf = lam - z1 - z2
     m = round(mf)
     if mf < -1e-9 or abs(mf - m) > 1e-9:
-        raise IndexError(f"lam - z1 - z2 = {mf} must be a non-negative integer")
+        raise DomainError(
+            f"lam={lam} gives the degree lam - z1 - z2 = {mf}, which must be a "
+            f"non-negative integer")
     if picture == "kepler_hyperspherical":
         variant = "kepler"
         pot_scale = 1.0

@@ -147,6 +147,18 @@ class TestSolveUnirrep:
             scale = abs(structure_function_raw(0.5 * (p + 1), sol.u, e_alg, params, qn))
         assert lo <= 1e-8 * scale and hi <= 1e-8 * scale
 
+    @pytest.mark.parametrize("params, qn", [
+        (UNIT, ZERO),
+        (ModelParams(1.0, 0.5, 0.5), QuantumNumbers(l4=1, T=0.5)),
+        (ModelParams(2.0, 1.5, 0.0), QuantumNumbers(l4=2, T=1.0)),
+    ])
+    def test_large_p_positivity_is_scale_free(self, params, qn):
+        """Phi grows like x^6, so its values next to the x = 0 root fall
+        below 1e-12 of the ladder's maximum from p ~ 2000-4000 on; each value
+        is judged against its own rounding size instead."""
+        sol = solve_unirrep(5000, params, qn)
+        assert len(sol.phi_interior) == 5000 and min(sol.phi_interior) > 0.0
+
     def test_alternative_pairing_rejected(self):
         with pytest.raises(PositivityViolation):
             solve_unirrep(2, UNIT, ZERO, root_pairing=1)

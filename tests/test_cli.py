@@ -103,6 +103,25 @@ class TestVerifyCommands:
         assert code == 0
         assert all(c["passed"] for c in env["checks"])
 
+    @pytest.mark.parametrize("p, sector", [
+        (3000, ["--c0", "2", "--c1", "1.5", "--c2", "0", "--l4", "2", "--T", "1"]),
+        (5000, []),
+    ])
+    def test_algebra_large_p_pass(self, p, sector, capsys):
+        code, env = run_json(["verify", "algebra", "--p", str(p), *sector], capsys)
+        assert code == 0
+        assert all(c["passed"] for c in env["checks"])
+
+    def test_algebra_q3_rounding_extras(self, capsys):
+        code, env = run_json(
+            ["verify", "algebra", "--p", "100", "--c1", "0.5", "--c2", "0.5",
+             "--l4", "1", "--T", "0.5"], capsys)
+        (q3,) = [c for c in env["checks"] if c["name"] == "second_commutation_relation"]
+        assert q3["dim"] == 101
+        assert q3["q3_per_p2_eps"] == pytest.approx(q3["measured"] / (100 ** 2 * 2.0 ** -52))
+        assert 0.0 < q3["q3_per_p2_eps"] < 1.0
+        assert set(env) == {"version", "timestamp", "command", "params", "results", "checks"}
+
     def test_algebra_invalid_sector_exit_2(self, capsys):
         code = main(["verify", "algebra", "--p", "2", "--T", "1"])
         capsys.readouterr()
@@ -307,11 +326,16 @@ class TestParameterTables:
         _, env = run_json(["verify", "residuals"], capsys)
         assert env["params"]["picture"] == "kepler-angular"
 
-    @pytest.mark.parametrize("points", ["1", "3"])
+    @pytest.mark.parametrize("points", ["1", "3", "11"])
     def test_residual_grid_too_small_exit_2(self, points, capsys):
         code = main(["verify", "residuals", "--points", points])
         assert code == 2
         assert "n_points" in capsys.readouterr().err
+
+    def test_inadmissible_residual_degree_exit_2(self, capsys):
+        code = main(["verify", "residuals", "--lam", "0", "--J", "1"])
+        assert code == 2
+        assert "lam" in capsys.readouterr().err
 
     def test_angular_mesh_too_small_exit_2(self, capsys):
         code = main(["verify", "ode", "--picture", "kepler-angular", "--mesh", "1"])

@@ -100,6 +100,28 @@ class TestGenerators:
         want = (np.arange(6) + sol.u) ** 2 - 2.25
         assert np.array_equal(np.sort(np.diag(gen.A)), np.sort(want))
 
+    def test_bands_match_dense_products(self):
+        """C and the Casimir, computed on the bands, equal the same formulas
+        built from dense matmuls of the A, B, C views, to rounding."""
+        eps = np.finfo(float).eps
+        for params, qn in sector_grid()[::9]:
+            for p in range(13):
+                _, rep, gen = make(p, params, qn)
+                a, b, c = gen.A, gen.B, gen.C
+                comm = a @ b - b @ a
+                assert np.abs(c - comm).max() <= 4 * eps * np.abs(a).max() * np.abs(b).max()
+
+                c0, c1, c2 = params.c0, params.c1, params.c2
+                h, lsq, tsq = rep.energy_scalar, rep.lsq_scalar, rep.tsq_scalar
+                g1 = -2 * c0 * (c1 - c2) - 4 * c0 * tsq
+                g2 = (16 - 4 * c1 - 4 * c2 - 4 * lsq) * h + 2 * c0 ** 2
+                b2 = b @ b
+                terms = [c @ c, -2 * (a @ b2 + b2 @ a), -4 * b2, -2 * g1 * b,
+                         8 * h * (a @ a), 2 * g2 * a]
+                scale = max(np.abs(t).max() for t in terms)
+                k = casimir_matrix(gen, rep, params)
+                assert np.abs(k - sum(terms)).max() <= 64 * eps * scale
+
     def test_diagonal_pole_guard(self):
         _, rep, _ = make(1)
         bad = type(rep)(

@@ -167,7 +167,7 @@ class TestAngularResidual:
         assert r <= 1e-7
 
     def test_degree_must_be_admissible(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             angular_residual("kepler_hyperspherical", 0, 0.5, 0.5)
 
     def test_stencil_order_under_refinement(self):
