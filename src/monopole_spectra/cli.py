@@ -387,15 +387,15 @@ RESIDUALS = Pictures({
     "osc-angular": ([LAM, *T_K, *LAMBDAS, HBAR, POINTS], lambda v: specfun.angular_residual(
         "oscillator_euler", v["lam"], v["T"], v["K"],
         couplings=(v["lambda1"], v["lambda2"]), hbar=v["hbar"], n_points=v["points"])),
-    "kepler-radial": ([Param("n", int, 0), LAM_EFF, C0, HBAR, POINTS],
+    "kepler-radial": ([Param("n", int, 0, above=-1), LAM_EFF, C0, HBAR, POINTS],
                       lambda v: specfun.kepler_radial_residual(
                           v["n"], v["lam_eff"], model(v), n_points=v["points"])),
-    "osc-radial": ([Param("n", int, 0), LAM_EFF, OMEGA, HBAR, POINTS],
+    "osc-radial": ([Param("n", int, 0, above=-1), LAM_EFF, OMEGA, HBAR, POINTS],
                    lambda v: specfun.oscillator_radial_residual(
                        v["n"], v["lam_eff"], v["omega"], v["hbar"], n_points=v["points"])),
-    "parabolic": ([Param("n1", int, 0), Param("n2", int, 0), *J_L, *MODEL, POINTS],
-                  _parabolic_residual),
-    "cylindrical": ([Param("n", int, 1), *SECTOR, HBAR, POINTS],
+    "parabolic": ([Param("n1", int, 0, above=-1), Param("n2", int, 0, above=-1),
+                   *J_L, *MODEL, POINTS], _parabolic_residual),
+    "cylindrical": ([Param("n", int, 1, above=-1), *SECTOR, HBAR, POINTS],
                     lambda v: specfun.cylindrical_residual(
                         v["n"], v["z"], v["lam_coupling"], v["hbar"], n_points=v["points"])),
 }, residual_report)
@@ -409,8 +409,8 @@ COMMANDS = {
     "verify": {
         "algebra": ([Param("p", int, 4), *MODEL, *L4_T], verify_algebra),
         "ode": ODE,
-        "duality": ([Param("grid", str, "small", ("small", "full")), Param("seed", int, 0)],
-                    verify_duality),
+        "duality": ([Param("grid", str, "small", ("small", "full")),
+                     Param("seed", int, 0, above=-1)], verify_duality),
         "residuals": RESIDUALS,
     },
 }

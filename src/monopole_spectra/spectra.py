@@ -1,10 +1,12 @@
 """Finite-difference eigenvalue solvers for the separated ODEs.
 
 Every equation is brought to symmetric Sturm-Liouville form, so the
-discretized operator is a real symmetric tridiagonal matrix; eigenvalues come
-from the implicit-shift tridiagonal solver behind scipy's eigh_tridiagonal,
-imported on the first solve.  Each spectrum is computed on meshes (N, 2N) and
-Richardson-extrapolated.
+discretized operator is a real symmetric tridiagonal matrix.  Each spectrum is
+computed on meshes (N, 2N) and Richardson-extrapolated: bisection on N
+(scipy's eigh_tridiagonal, imported on the first solve) certifies the levels
+and their numbering; on 2N, inverse iteration (LAPACK dstein) seeded at the N
+values gives the eigenvectors, and each eigenvalue is its vector's Rayleigh
+quotient.
 
 The two Coulomb-type 5D pictures are solved through their 8D duals.  The map
 x = y^2, chi = (2y)^(1/2) phi turns the 5D radial equation into the 8D radial
@@ -85,6 +87,14 @@ class EigenResult:
     conv_tol: float
 
 
+def _tridiagonal(problem: SturmLiouvilleProblem, n: int):
+    """Diagonal, off-diagonal, potential V(x) and step h of the n-point mesh."""
+    x = np.linspace(problem.domain[0], problem.domain[1], n + 2)[1:-1]
+    h = x[1] - x[0]
+    v = problem.potential(x)
+    return 2.0 / h ** 2 + v, np.full(n - 1, -1.0 / h ** 2), v, h
+
+
 def solve_lowest(problem: SturmLiouvilleProblem, k: int, mesh: int | None = None) -> np.ndarray:
     """Lowest k eigenvalues of the discretized problem."""
     from scipy.linalg import eigh_tridiagonal
@@ -92,12 +102,44 @@ def solve_lowest(problem: SturmLiouvilleProblem, k: int, mesh: int | None = None
     n = mesh if mesh is not None else problem.mesh_size
     if not 1 <= k <= n:
         raise ValueError(f"cannot resolve {k} levels on mesh {n}: need 1 <= levels <= mesh")
-    x = np.linspace(problem.domain[0], problem.domain[1], n + 2)[1:-1]
-    h = x[1] - x[0]
-    diag = 2.0 / h ** 2 + problem.potential(x)
-    off = np.full(n - 1, -1.0 / h ** 2)
+    diag, off, _, _ = _tridiagonal(problem, n)
     return eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
+    )
+
+
+def _relative(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """|a - ref| relative to ref, floored at 1e-3 of the spectrum's scale."""
+    scale = np.maximum(np.abs(ref), 1e-3 * float(np.max(np.abs(ref))) + 1e-300)
+    return np.abs(a - ref) / scale
+
+
+def _refine(problem: SturmLiouvilleProblem, coarse: np.ndarray, n: int) -> np.ndarray:
+    """Eigenvalues on mesh n next to the sorted values `coarse`: one inverse
+    iteration pass seeded at them, then each vector's Rayleigh quotient."""
+    from scipy.linalg.lapack import dstein
+
+    diag, off, v, h = _tridiagonal(problem, n)
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    z, info = dstein(diag, off, coarse, np.ones(n, dtype=np.int32), isplit)
+    # energy form of z.Tz: no eps * |T| cancellation between 2/h^2 and -1/h^2
+    dz = np.diff(z, axis=0)
+    kinetic = np.einsum("ij,ij->j", dz, dz) + z[0] ** 2 + z[-1] ** 2
+    fine = (kinetic / h ** 2 + np.einsum("i,ij,ij->j", v, z, z)) / np.einsum("ij,ij->j", z, z)
+    if info > 0:
+        # the wrapper does not return LAPACK's IFAIL: name the level that moved furthest
+        level = int(np.argmax(_relative(fine, coarse)))
+        reason = (f"{info} of {len(coarse)} inverse iterations did not converge "
+                  f"(this level moved furthest)")
+    elif not np.all(np.diff(fine) > 0):
+        level = int(np.argmin(np.diff(fine) > 0)) + 1
+        reason = f"refined value {fine[level]!r} does not exceed level {level - 1}'s"
+    else:
+        return fine
+    raise ConvergenceFailure(
+        f"level {level}: {reason}; seeded at coarse value {coarse[level]!r} "
+        f"on meshes ({problem.mesh_size}, {n})"
     )
 
 
@@ -106,10 +148,9 @@ def _richardson_solve(
 ) -> EigenResult:
     n = problem.mesh_size
     coarse = solve_lowest(problem, k, n)
-    fine = solve_lowest(problem, k, 2 * n)
+    fine = _refine(problem, coarse, 2 * n)
     rich = (4.0 * fine - coarse) / 3.0
-    scale = np.maximum(np.abs(rich), 1e-3 * float(np.max(np.abs(rich))) + 1e-300)
-    delta = np.abs(rich - fine) / scale
+    delta = _relative(fine, rich)
     converged = delta <= conv_tol
     if strict and not np.all(converged):
         worst = int(np.argmax(delta))

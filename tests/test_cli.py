@@ -337,6 +337,23 @@ class TestParameterTables:
         assert code == 2
         assert "lam" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("picture, flag, value", [
+        ("kepler-radial", "n", "-1"),
+        ("osc-radial", "n", "-1"),
+        ("cylindrical", "n", "-2"),
+        ("parabolic", "n1", "-1"),
+        ("parabolic", "n2", "-1"),
+    ])
+    def test_negative_residual_degree_exit_2(self, picture, flag, value, capsys):
+        code = main(["verify", "residuals", "--picture", picture, "--" + flag, value])
+        assert code == 2
+        assert f"{flag} must be greater than -1" in capsys.readouterr().err
+
+    def test_negative_duality_seed_exit_2(self, capsys):
+        code = main(["verify", "duality", "--seed", "-5"])
+        assert code == 2
+        assert "seed must be greater than -1" in capsys.readouterr().err
+
     def test_angular_mesh_too_small_exit_2(self, capsys):
         code = main(["verify", "ode", "--picture", "kepler-angular", "--mesh", "1"])
         assert code == 2
@@ -348,13 +365,17 @@ class TestParameterTables:
         assert code == 2
         assert "5 levels" in err and "mesh 3" in err
 
-    @pytest.mark.parametrize("picture", ["kepler-radial", "kepler-angular"])
-    def test_convergence_failure_explains_itself(self, picture, capsys):
-        code = main(["verify", "ode", "--picture", picture, "--mesh", "10"])
+    @pytest.mark.parametrize("picture, mesh, extra", [
+        pytest.param("kepler-radial", 10, [], id="kepler-radial"),
+        pytest.param("kepler-angular", 10, [], id="kepler-angular"),
+        pytest.param("kepler-radial", 4, ["--levels", "3"], id="kepler-radial-mesh4"),
+    ])
+    def test_convergence_failure_explains_itself(self, picture, mesh, extra, capsys):
+        code = main(["verify", "ode", "--picture", picture, "--mesh", str(mesh)] + extra)
         err = capsys.readouterr().err
         assert code == 3
         assert "level " in err and "Richardson delta" in err
-        assert "conv_tol=0.001" in err and "(10, 20)" in err
+        assert "conv_tol=0.001" in err and f"({mesh}, {2 * mesh})" in err
 
 
 def readme_cli_commands():

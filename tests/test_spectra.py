@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from monopole_spectra import ModelParams
+from monopole_spectra import ModelParams, spectra
 from monopole_spectra.cli import ODE_RTOL, relative_errors
 from monopole_spectra.errors import ConvergenceFailure, NoIntersection
 from monopole_spectra.spectra import (
@@ -200,11 +200,7 @@ class TestParabolicNodeCounts:
         from scipy.linalg import eigh_tridiagonal
 
         prob = cylindrical_problem(0.5, 2.0 * 0.7, 1.0, 1.0, 4, 1200)
-        n = prob.mesh_size
-        x = np.linspace(prob.domain[0], prob.domain[1], n + 2)[1:-1]
-        h = x[1] - x[0]
-        diag = 2.0 / h ** 2 + prob.potential(x)
-        off = np.full(n - 1, -1.0 / h ** 2)
+        diag, off, _, _ = spectra._tridiagonal(prob, prob.mesh_size)
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
         for idx in range(4):
             v = vecs[:, idx]
@@ -243,6 +239,94 @@ class TestExactScaling:
         hb = energies(self.scaled_hbar())
         np.testing.assert_allclose(c0, 37.0 ** 2 * base, rtol=1e-14, atol=0)
         np.testing.assert_allclose(hb, base / self.S ** 2, rtol=1e-14, atol=0)
+
+
+class TestRefinement:
+    """Each Richardson pair bisects on mesh N only; the mesh-2N values come from
+    inverse iteration seeded at the N values plus a Rayleigh quotient, and must
+    agree with bisecting on 2N."""
+
+    P = ModelParams(1.0, 0.7, 0.3)
+    PICTURES = {
+        "kepler-radial": lambda k, m: kepler_radial_spectrum(1.3, TestRefinement.P, k, m),
+        "kepler-angular": lambda k, m: kepler_angular_spectrum(0.5, 1.0, TestRefinement.P, k, m),
+        "osc-radial": lambda k, m: oscillator_radial_spectrum(12.0, 1.3, 0.8, k, m),
+        "osc-angular": lambda k, m: oscillator_angular_spectrum(0.5, 0.0, 2.0, 1.0, 1.0, k, m),
+        "cylindrical": lambda k, m: cylindrical_spectrum(1.0, 2.5, 0.7, 1.1, k, m),
+        "parabolic": lambda k, m: parabolic_quantization(0.5, 1.0, TestRefinement.P,
+                                                         n_max=k - 1, mesh=m),
+    }
+
+    @staticmethod
+    def solves(monkeypatch, run):
+        """(problem, k, EigenResult) of every Richardson pair `run` solves."""
+        seen = []
+        real = spectra._richardson_solve
+
+        def spy(problem, k, conv_tol, strict):
+            seen.append((problem, k, real(problem, k, conv_tol, strict)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(spectra, "_richardson_solve", spy)
+        run()
+        assert seen
+        return seen
+
+    @pytest.mark.parametrize("picture, k, mesh", [
+        *((p, 5, m) for p in PICTURES for m in (2000, 4000, 8000)),
+        ("kepler-radial", 40, 4000),
+        ("osc-angular", 60, 3000),
+    ])
+    def test_fine_values_match_bisection(self, picture, k, mesh, monkeypatch):
+        solves = self.solves(monkeypatch, lambda: self.PICTURES[picture](k, mesh))
+        for problem, levels, res in solves:
+            want = solve_lowest(problem, levels, 2 * problem.mesh_size)
+            np.testing.assert_allclose(res.eigenvalues, want, rtol=1e-8, atol=0)
+
+    def test_box_end_terms(self):
+        """A particle in a box keeps O(1/N) of each level in the z_0^2 and
+        z_{n-1}^2 end terms of the energy form; its discrete levels are
+        (4/h^2) sin^2(j h/2)."""
+        prob = SturmLiouvilleProblem(domain=(0.0, math.pi), mesh_size=500)
+        got = spectra._refine(prob, solve_lowest(prob, 4), 1000)
+        h = math.pi / 1001
+        want = 4.0 / h ** 2 * np.sin(np.arange(1, 5) * h / 2) ** 2
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("picture", list(PICTURES))
+    def test_bitwise_repeatable(self, picture):
+        first, second = (self.PICTURES[picture](5, 2000) for _ in range(2))
+        if picture == "parabolic":
+            assert first == second
+        else:
+            assert np.array_equal(first.eigenvalues, second.eigenvalues)
+            assert np.array_equal(first.richardson, second.richardson)
+
+    def test_inverse_iteration_failure_names_level_and_meshes(self, monkeypatch):
+        import scipy.linalg.lapack as lapack
+
+        real = lapack.dstein
+        monkeypatch.setattr(lapack, "dstein", lambda *args: (real(*args)[0], 1))
+        with pytest.raises(ConvergenceFailure,
+                           match=r"level \d: 1 of 3 inverse iterations did not converge.*"
+                                 r"seeded at coarse value .* on meshes \(500, 1000\)"):
+            cylindrical_spectrum(0.0, 0.0, 1.0, k=3, mesh=500)
+
+    def test_refinement_onto_a_lower_level_names_it(self, monkeypatch):
+        import scipy.linalg.lapack as lapack
+
+        real = lapack.dstein
+
+        def collapsed(*args):
+            z, info = real(*args)
+            z[:, 2] = z[:, 1]
+            return z, info
+
+        monkeypatch.setattr(lapack, "dstein", collapsed)
+        with pytest.raises(ConvergenceFailure,
+                           match=r"level 2: .*does not exceed level 1's; seeded at coarse "
+                                 r"value .* on meshes \(500, 1000\)"):
+            cylindrical_spectrum(0.0, 0.0, 1.0, k=3, mesh=500)
 
 
 class TestSturmLiouville:
