@@ -259,12 +259,11 @@ def verify_algebra(v: dict) -> tuple[list, list]:
         check("commutator_definition", rpt.residual_q1, 1e-13, "C = [A, B] by construction"),
         check("first_commutation_relation", rpt.residual_q2, ALGEBRA_RTOL,
               "closure of [A,C] against 2{A,B} + 8B + const"),
-        # rounding in the q3 terms grows about as p^2, so the ratio to p^2 eps
-        # stays flat in p while the algebra closes
+        # q3 is relative entry by entry; in units of eps it shows the rounding
+        # of the generator entries (about 24 at p = 100, 3100 at p = 12000)
         check("second_commutation_relation", rpt.residual_q3, ALGEBRA_RTOL,
               "closure of [B,C] against -2B^2 + 8HA + const, calibrated rho",
-              dim=rep.dim,
-              q3_per_p2_eps=rpt.residual_q3 / (max(sol.p, 1) ** 2 * np.finfo(float).eps)),
+              dim=rep.dim, q3_per_eps=rpt.residual_q3 / np.finfo(float).eps),
         check("rho_calibration_is_unity", abs(rpt.rho_calibration - 1.0), 1e-8,
               "fitted off-diagonal rescale"),
         check("casimir_centrality", rpt.casimir_offdiag, ALGEBRA_RTOL,

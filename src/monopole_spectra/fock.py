@@ -230,8 +230,10 @@ def verify_algebra(
 ) -> AlgebraReport:
     """Measure the commutation-relation residuals of the generator triple.
 
-    Diagnostic: large residuals are data, not failure.  Each residual is the
-    max-norm of the residual matrix over the max-norm of its largest term.
+    Diagnostic: large residuals are data, not failure.  The q1 and q2
+    residuals are the max-norm of the residual matrix over the max-norm of its
+    largest term; q3 is the largest entry of the residual relative to the
+    magnitudes of the products that form that entry.
     """
     a, d, o, c = gen.a, gen.d, gen.o, gen.c
     h = rep.energy_scalar
@@ -264,20 +266,25 @@ def verify_algebra(
     r1 = dc + 2.0 * do
     r2_diag, r2_band = oc0 + 2.0 * oo0, oc2 + 2.0 * oo2
     n1, n2 = float(r1 @ r1), float(r2_band @ r2_band)
-    m_r1, m_r2, m_dc, m_do, m_oo2 = (_maxabs(x) for x in (r1, r2_band, dc, do, oo2))
-    m_oc = _maxabs(oc0, oc2)
-    m_ha = abs(8.0 * h) * _maxabs(a)
+    # each entry is measured against the summed magnitudes of the products
+    # that form it, before they cancel, so its rounding counts at its own scale
+    abs_d, abs_o, abs_c = np.abs(d), np.abs(o), np.abs(c)
+    abs_oc = abs_o * abs_c
+    m0 = 2.0 * dd + np.abs(8.0 * h * a) + abs(g2)
+    m2_diag = 2.0 * _tridiagonal_product_diag(abs_oc, abs_oc) + 2.0 * oo0
+    m1 = (abs_d[:-1] + abs_d[1:]) * (abs_c + 2.0 * abs_o)
+    m2_band = abs_o[:-1] * abs_c[1:] + abs_c[:-1] * abs_o[1:] + 2.0 * np.abs(oo2)
+    q3_bands = max(_maxabs(r1 / np.maximum(m1, 1e-300)),
+                   _maxabs(r2_band / np.maximum(m2_band, 1e-300)))
 
     def q3_at(s: float) -> tuple[float, float]:
         """(||residual||_F^2, q3 residual) at rescale s; the bands above the
-        diagonal count twice in the Frobenius norm."""
+        diagonal count twice in the Frobenius norm, and vanish at s = 0."""
         s2 = s * s
         res_diag = r0 + s2 * r2_diag
         cost = float(res_diag @ res_diag) + 2.0 * s2 * (n1 + s2 * n2)
-        res = max(_maxabs(res_diag), abs(s) * m_r1, s2 * m_r2)
-        lhs = max(abs(s) * m_dc, s2 * m_oc)  # [B_s, C_s] = s [D, C1] + s^2 [O, C1]
-        b_sq = max(_maxabs(dd + s2 * oo0), abs(s) * m_do, s2 * m_oo2)
-        return cost, res / max(lhs, 2.0 * b_sq, m_ha, abs(g2), 1e-300)
+        diag = _maxabs(res_diag / np.maximum(m0 + s2 * m2_diag, 1e-300))
+        return cost, max(diag, q3_bands) if s else diag
 
     # r1 shares no entry with r0 or r2, so the cost is even in s and its
     # stationary points are s = 0 and s^2 = -c1/c3.  The sign of the

@@ -2,11 +2,13 @@
 
 Every equation is brought to symmetric Sturm-Liouville form, so the
 discretized operator is a real symmetric tridiagonal matrix.  Each spectrum is
-computed on meshes (N, 2N) and Richardson-extrapolated: bisection on N
-(scipy's eigh_tridiagonal, imported on the first solve) certifies the levels
-and their numbering; on 2N, inverse iteration (LAPACK dstein) seeded at the N
-values gives the eigenvectors, and each eigenvalue is its vector's Rayleigh
-quotient.
+computed on meshes (N, 2N) and Richardson-extrapolated: a loose Sturm
+bracket on N; inverse iteration plus Rayleigh quotient on N and 2N.  Bisection
+to a width of a tenth of the domain's box level (scipy's eigh_tridiagonal,
+imported on the first solve) certifies each level and its numbering; inverse
+iteration at the bracket midpoint gives the eigenvector on N, and one solve
+from it, interpolated onto 2N and shifted at the N value, gives the one on 2N.
+Each eigenvalue is its vector's Rayleigh quotient in energy form.
 
 The two Coulomb-type 5D pictures are solved through their 8D duals.  The map
 x = y^2, chi = (2y)^(1/2) phi turns the 5D radial equation into the 8D radial
@@ -31,6 +33,10 @@ from .params import ModelParams
 from .specfun import delta_exponents, exp_cutoff
 
 ENVELOPE_CUT = 1e-14
+BRACKET_WIDTH = 0.1     # tau in box levels (pi / (x_max - x_min))^2: rescales exactly
+POLISH_RTOL = 1e-13     # settled: |change of Rayleigh quotient| <= this * its magnitude
+POLISH_SOLVES = 8
+START_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -95,17 +101,77 @@ def _tridiagonal(problem: SturmLiouvilleProblem, n: int):
     return 2.0 / h ** 2 + v, np.full(n - 1, -1.0 / h ** 2), v, h
 
 
-def solve_lowest(problem: SturmLiouvilleProblem, k: int, mesh: int | None = None) -> np.ndarray:
-    """Lowest k eigenvalues of the discretized problem."""
-    from scipy.linalg import eigh_tridiagonal
+def _rayleigh(z: np.ndarray, v: np.ndarray, h: float) -> tuple[float, float]:
+    """Rayleigh quotient of z in energy form, (sum (dz)^2 + z_0^2 + z_{n-1}^2)/h^2
+    + sum V z^2 over sum z^2, and the summed magnitudes of its two parts.
 
-    n = mesh if mesh is not None else problem.mesh_size
+    The energy form has no eps * |T| cancellation between 2/h^2 and -1/h^2.
+    """
+    dz = np.diff(z)
+    kinetic = (dz @ dz + z[0] ** 2 + z[-1] ** 2) / h ** 2
+    potential = (v * z) @ z
+    norm = z @ z
+    return (kinetic + potential) / norm, (kinetic + abs(potential)) / norm
+
+
+def _eigenpairs(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenvalues on mesh n and their eigenvectors (one row each).
+
+    Bisection to width tau brackets each level: the Sturm counts fix its
+    index, and midpoints more than 2 tau apart give disjoint brackets.
+    Inverse iteration at the fixed shift of the midpoint, from one seeded
+    random start shared by all levels, then runs until the Rayleigh quotient
+    settles, which must happen inside the level's own bracket.
+    """
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     if not 1 <= k <= n:
         raise ValueError(f"cannot resolve {k} levels on mesh {n}: need 1 <= levels <= mesh")
-    diag, off, _, _ = _tridiagonal(problem, n)
-    return eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
+    diag, off, v, h = _tridiagonal(problem, n)
+    tau = BRACKET_WIDTH * (math.pi / (problem.domain[1] - problem.domain[0])) ** 2
+    mid = eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, k - 1), eigvals_only=True, tol=tau
     )
+    apart = np.diff(mid) > 2.0 * tau
+    if not np.all(apart):
+        j = int(np.argmin(apart)) + 1
+        raise ConvergenceFailure(
+            f"level {j}: bracket midpoint {mid[j]:.16g} lies within 2 tau of level "
+            f"{j - 1}'s {mid[j - 1]:.16g} (tau = {tau:.6g}) on mesh {n}"
+        )
+    start = np.random.default_rng(START_SEED).standard_normal(n)
+    values = np.empty(k)
+    vectors = np.empty((k, n))
+    for j, shift in enumerate(mid):
+        factors = dgttrf(off, diag - shift, off, overwrite_d=1)[:5]
+        z, rho = start, math.inf
+        for _ in range(POLISH_SOLVES):
+            z = dgttrs(*factors, z)[0]
+            z /= math.sqrt(z @ z)
+            last, (rho, scale) = rho, _rayleigh(z, v, h)
+            if abs(rho - last) <= POLISH_RTOL * scale:
+                break
+        else:
+            raise ConvergenceFailure(
+                f"level {j}: Rayleigh quotient did not settle in {POLISH_SOLVES} solves "
+                f"(last {last:.16g}, then {rho:.16g}); shifted at bracket midpoint "
+                f"{shift:.16g}, start seed {START_SEED}, on mesh {n}"
+            )
+        if not abs(rho - shift) <= tau:
+            raise ConvergenceFailure(
+                f"level {j}: Rayleigh quotient {rho:.16g} left its bracket "
+                f"[{shift - tau:.16g}, {shift + tau:.16g}]; start seed {START_SEED}, "
+                f"on mesh {n}"
+            )
+        values[j] = rho
+        vectors[j] = z
+    return values, vectors
+
+
+def solve_lowest(problem: SturmLiouvilleProblem, k: int, mesh: int | None = None) -> np.ndarray:
+    """Lowest k eigenvalues of the discretized problem."""
+    return _eigenpairs(problem, k, mesh if mesh is not None else problem.mesh_size)[0]
 
 
 def _relative(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -114,41 +180,42 @@ def _relative(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.abs(a - ref) / scale
 
 
-def _refine(problem: SturmLiouvilleProblem, coarse: np.ndarray, n: int) -> np.ndarray:
-    """Eigenvalues on mesh n next to the sorted values `coarse`: one inverse
-    iteration pass seeded at them, then each vector's Rayleigh quotient."""
-    from scipy.linalg.lapack import dstein
+def _refine(
+    problem: SturmLiouvilleProblem, coarse: np.ndarray, vectors: np.ndarray, n: int
+) -> np.ndarray:
+    """Eigenvalues on mesh n from the eigenpairs of a coarser mesh: one inverse
+    iteration solve per level, shifted at its coarse value and started from its
+    coarse eigenvector interpolated onto mesh n, then the Rayleigh quotient."""
+    from scipy.linalg.lapack import dgtsv
 
     diag, off, v, h = _tridiagonal(problem, n)
-    isplit = np.zeros(n, dtype=np.int32)
-    isplit[0] = n
-    z, info = dstein(diag, off, coarse, np.ones(n, dtype=np.int32), isplit)
-    # energy form of z.Tz: no eps * |T| cancellation between 2/h^2 and -1/h^2
-    dz = np.diff(z, axis=0)
-    kinetic = np.einsum("ij,ij->j", dz, dz) + z[0] ** 2 + z[-1] ** 2
-    fine = (kinetic / h ** 2 + np.einsum("i,ij,ij->j", v, z, z)) / np.einsum("ij,ij->j", z, z)
-    if info > 0:
-        # the wrapper does not return LAPACK's IFAIL: name the level that moved furthest
-        level = int(np.argmax(_relative(fine, coarse)))
-        reason = (f"{info} of {len(coarse)} inverse iterations did not converge "
-                  f"(this level moved furthest)")
-    elif not np.all(np.diff(fine) > 0):
-        level = int(np.argmin(np.diff(fine) > 0)) + 1
-        reason = f"refined value {fine[level]!r} does not exceed level {level - 1}'s"
-    else:
-        return fine
-    raise ConvergenceFailure(
-        f"level {level}: {reason}; seeded at coarse value {coarse[level]!r} "
-        f"on meshes ({problem.mesh_size}, {n})"
-    )
+    # the same affine map takes both meshes onto [0, 1]; the walls hold zeros
+    nodes = np.linspace(0.0, 1.0, vectors.shape[1] + 2)
+    at = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    walled = np.zeros(vectors.shape[1] + 2)
+    fine = np.empty(len(coarse))
+    for j, shift in enumerate(coarse):
+        walled[1:-1] = vectors[j]
+        z = dgtsv(off, diag - shift, off, np.interp(at, nodes, walled),
+                  overwrite_d=1, overwrite_b=1)[3]
+        fine[j] = _rayleigh(z, v, h)[0]
+    rising = np.diff(fine) > 0
+    if not np.all(rising):
+        j = int(np.argmin(rising)) + 1
+        raise ConvergenceFailure(
+            f"level {j}: refined value {fine[j]:.16g} does not exceed level {j - 1}'s "
+            f"{fine[j - 1]:.16g}; shifted at coarse value {coarse[j]:.16g} "
+            f"on meshes ({vectors.shape[1]}, {n})"
+        )
+    return fine
 
 
 def _richardson_solve(
     problem: SturmLiouvilleProblem, k: int, conv_tol: float, strict: bool
 ) -> EigenResult:
     n = problem.mesh_size
-    coarse = solve_lowest(problem, k, n)
-    fine = _refine(problem, coarse, 2 * n)
+    coarse, vectors = _eigenpairs(problem, k, n)
+    fine = _refine(problem, coarse, vectors, 2 * n)
     rich = (4.0 * fine - coarse) / 3.0
     delta = _relative(fine, rich)
     converged = delta <= conv_tol

@@ -241,10 +241,53 @@ class TestExactScaling:
         np.testing.assert_allclose(hb, base / self.S ** 2, rtol=1e-14, atol=0)
 
 
+class TestExactScaling8D:
+    """The 8D energies are linear in omega at fixed hbar, and the angular
+    spectra depend on the couplings only through c_i/hbar^2 and lam_i/hbar^2.
+    The mesh, the bracket width and the polish all rescale with the domain,
+    so both hold to rounding."""
+
+    W = 3.7
+    S = 1.7
+
+    @pytest.mark.parametrize("mesh", [2000, 4000, 8000])
+    def test_osc_radial_linear_in_omega(self, mesh):
+        base = oscillator_radial_spectrum(12.0, 1.3, 0.8, 5, mesh).richardson
+        scaled = oscillator_radial_spectrum(12.0, self.W * 1.3, 0.8, 5, mesh).richardson
+        np.testing.assert_allclose(scaled, self.W * base, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mesh", [2000, 4000, 8000])
+    def test_cylindrical_linear_in_omega(self, mesh):
+        base = cylindrical_spectrum(1.0, 2.5, 0.7, 1.1, 5, mesh).richardson
+        scaled = cylindrical_spectrum(1.0, 2.5, self.W * 0.7, 1.1, 5, mesh).richardson
+        np.testing.assert_allclose(scaled, self.W * base, rtol=1e-13, atol=0)
+
+    def test_angular_spectra_depend_on_couplings_over_hbar2(self):
+        s2 = self.S ** 2
+        kepler = [kepler_angular_spectrum(0.5, 1.0, p, 5, 2000).richardson
+                  for p in (ModelParams(1.0, 0.7, 0.3),
+                            ModelParams(1.0, 0.7 * s2, 0.3 * s2, self.S))]
+        osc = [oscillator_angular_spectrum(0.5, 0.0, 2.0 * f, 1.0 * f, h, 5, 2000).richardson
+               for f, h in ((1.0, 1.0), (s2, self.S))]
+        for base, scaled in (kepler, osc):
+            np.testing.assert_allclose(scaled, base, rtol=1e-13, atol=0)
+
+
+
+def bisection(problem, k, n):
+    """Lowest k eigenvalues on mesh n by full-precision bisection: an
+    independent reference for the bracket-and-polish path."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off, _, _ = spectra._tridiagonal(problem, n)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                            eigvals_only=True, tol=0)
+
+
 class TestRefinement:
-    """Each Richardson pair bisects on mesh N only; the mesh-2N values come from
-    inverse iteration seeded at the N values plus a Rayleigh quotient, and must
-    agree with bisecting on 2N."""
+    """Each Richardson pair brackets the levels on mesh N by a loose bisection;
+    inverse iteration plus a Rayleigh quotient gives the values on N and, seeded
+    by the N eigenpairs, on 2N.  Both must agree with full bisection."""
 
     P = ModelParams(1.0, 0.7, 0.3)
     PICTURES = {
@@ -256,6 +299,11 @@ class TestRefinement:
         "parabolic": lambda k, m: parabolic_quantization(0.5, 1.0, TestRefinement.P,
                                                          n_max=k - 1, mesh=m),
     }
+    GRID = [
+        *((p, 5, m) for p in PICTURES for m in (2000, 4000, 8000)),
+        ("kepler-radial", 40, 4000),
+        ("osc-angular", 60, 3000),
+    ]
 
     @staticmethod
     def solves(monkeypatch, run):
@@ -272,26 +320,34 @@ class TestRefinement:
         assert seen
         return seen
 
-    @pytest.mark.parametrize("picture, k, mesh", [
-        *((p, 5, m) for p in PICTURES for m in (2000, 4000, 8000)),
-        ("kepler-radial", 40, 4000),
-        ("osc-angular", 60, 3000),
-    ])
+    @pytest.mark.parametrize("picture, k, mesh", GRID)
+    def test_coarse_values_match_bisection(self, picture, k, mesh, monkeypatch):
+        solves = self.solves(monkeypatch, lambda: self.PICTURES[picture](k, mesh))
+        for problem, levels, _ in solves:
+            np.testing.assert_allclose(solve_lowest(problem, levels),
+                                       bisection(problem, levels, problem.mesh_size),
+                                       rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("picture, k, mesh", GRID)
     def test_fine_values_match_bisection(self, picture, k, mesh, monkeypatch):
         solves = self.solves(monkeypatch, lambda: self.PICTURES[picture](k, mesh))
         for problem, levels, res in solves:
-            want = solve_lowest(problem, levels, 2 * problem.mesh_size)
+            want = bisection(problem, levels, 2 * problem.mesh_size)
             np.testing.assert_allclose(res.eigenvalues, want, rtol=1e-8, atol=0)
 
     def test_box_end_terms(self):
         """A particle in a box keeps O(1/N) of each level in the z_0^2 and
-        z_{n-1}^2 end terms of the energy form; its discrete levels are
-        (4/h^2) sin^2(j h/2)."""
+        z_{n-1}^2 end terms of the energy form; its discrete levels on n points
+        are (4/h^2) sin^2(j h/2), h = pi/(n + 1)."""
+        def exact(n):
+            h = math.pi / (n + 1)
+            return 4.0 / h ** 2 * np.sin(np.arange(1, 5) * h / 2) ** 2
+
         prob = SturmLiouvilleProblem(domain=(0.0, math.pi), mesh_size=500)
-        got = spectra._refine(prob, solve_lowest(prob, 4), 1000)
-        h = math.pi / 1001
-        want = 4.0 / h ** 2 * np.sin(np.arange(1, 5) * h / 2) ** 2
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        coarse, vectors = spectra._eigenpairs(prob, 4, 500)
+        np.testing.assert_allclose(coarse, exact(500), rtol=1e-13, atol=0)
+        fine = spectra._refine(prob, coarse, vectors, 1000)
+        np.testing.assert_allclose(fine, exact(1000), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("picture", list(PICTURES))
     def test_bitwise_repeatable(self, picture):
@@ -302,31 +358,70 @@ class TestRefinement:
             assert np.array_equal(first.eigenvalues, second.eigenvalues)
             assert np.array_equal(first.richardson, second.richardson)
 
-    def test_inverse_iteration_failure_names_level_and_meshes(self, monkeypatch):
+    @staticmethod
+    def misdirect(monkeypatch, level, solve):
+        """Make every inverse-iteration solve of `level` on the coarse mesh
+        return solve(vectors), vectors[j] being level j's last unit iterate."""
         import scipy.linalg.lapack as lapack
 
-        real = lapack.dstein
-        monkeypatch.setattr(lapack, "dstein", lambda *args: (real(*args)[0], 1))
+        real_trf, real_trs = lapack.dgttrf, lapack.dgttrs
+        vectors = []
+
+        def trf(*args, **kwargs):  # one factorization per level
+            vectors.append(None)
+            return real_trf(*args, **kwargs)
+
+        def trs(*args, **kwargs):
+            if len(vectors) - 1 == level:
+                return solve(vectors), 0
+            z = real_trs(*args, **kwargs)[0]
+            vectors[-1] = z / np.linalg.norm(z)
+            return z, 0
+
+        monkeypatch.setattr(lapack, "dgttrf", trf)
+        monkeypatch.setattr(lapack, "dgttrs", trs)
+
+    def test_inverse_iteration_failure_names_level_and_meshes(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        self.misdirect(monkeypatch, 1, lambda _: rng.standard_normal(500))
         with pytest.raises(ConvergenceFailure,
-                           match=r"level \d: 1 of 3 inverse iterations did not converge.*"
-                                 r"seeded at coarse value .* on meshes \(500, 1000\)"):
+                           match=r"level 1: Rayleigh quotient did not settle in 8 solves "
+                                 r"\(last [-\d.e]+, then [-\d.e]+\); shifted at bracket "
+                                 r"midpoint [\d.]+, start seed 0, on mesh 500$"):
+            cylindrical_spectrum(0.0, 0.0, 1.0, k=3, mesh=500)
+
+    def test_polish_onto_a_lower_level_leaves_its_bracket(self, monkeypatch):
+        self.misdirect(monkeypatch, 2, lambda vectors: vectors[1].copy())
+        with pytest.raises(ConvergenceFailure,
+                           match=r"level 2: Rayleigh quotient [\d.]+ left its bracket "
+                                 r"\[[\d.]+, [\d.]+\]; start seed 0, on mesh 500$"):
             cylindrical_spectrum(0.0, 0.0, 1.0, k=3, mesh=500)
 
     def test_refinement_onto_a_lower_level_names_it(self, monkeypatch):
         import scipy.linalg.lapack as lapack
 
-        real = lapack.dstein
+        real = lapack.dgtsv
+        fine = []
 
-        def collapsed(*args):
-            z, info = real(*args)
-            z[:, 2] = z[:, 1]
-            return z, info
+        def collapsed(*args, **kwargs):
+            out = real(*args, **kwargs)
+            fine.append(out[3])
+            return (*out[:3], fine[1], out[4]) if len(fine) == 3 else out
 
-        monkeypatch.setattr(lapack, "dstein", collapsed)
+        monkeypatch.setattr(lapack, "dgtsv", collapsed)
         with pytest.raises(ConvergenceFailure,
-                           match=r"level 2: .*does not exceed level 1's; seeded at coarse "
-                                 r"value .* on meshes \(500, 1000\)"):
+                           match=r"level 2: refined value [\d.]+ does not exceed level 1's "
+                                 r"[\d.]+; shifted at coarse value [\d.]+ "
+                                 r"on meshes \(500, 1000\)$"):
             cylindrical_spectrum(0.0, 0.0, 1.0, k=3, mesh=500)
+
+    def test_overlapping_brackets_name_level_and_width(self, monkeypatch):
+        monkeypatch.setattr(spectra, "BRACKET_WIDTH", 100.0)
+        prob = SturmLiouvilleProblem(domain=(0.0, math.pi), mesh_size=500)
+        with pytest.raises(ConvergenceFailure,
+                           match=r"level 1: bracket midpoint [\d.]+ lies within 2 tau of "
+                                 r"level 0's [\d.]+ \(tau = 100\) on mesh 500$"):
+            solve_lowest(prob, 3)
 
 
 class TestSturmLiouville:
