@@ -181,11 +181,6 @@ def solve_unirrep(
     return UnirrepSolution(p=p, u=u, E=E, phi_interior=tuple(phi))
 
 
-def algebra_energy_scalar(sol: UnirrepSolution, params: ModelParams) -> float:
-    """Energy scalar substituted into the hbar = 1 closed forms."""
-    return sol.E * params.hbar ** 2
-
-
 def so6_casimir_eigenvalues(labels: So6Labels) -> tuple[float, float, float]:
     """Eigenvalues (K1, K2, K3) of the three so(6) Casimir operators."""
     u1, u2, u3 = labels.mu1, labels.mu2, labels.mu3

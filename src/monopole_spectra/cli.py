@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, algebra, duality, specfun, spectra
-from .errors import ConvergenceFailure, MonopoleSpectraError, NoIntersection
+from .errors import ConvergenceFailure, MonopoleSpectraError
 from .params import ModelParams, QuantumNumbers
 
 EXIT_OK = 0
@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
             "checks": checks,
         }, fmt, out)
         return EXIT_OK if all(c["passed"] for c in checks) else EXIT_INVARIANT
-    except (ConvergenceFailure, NoIntersection) as exc:
+    except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:

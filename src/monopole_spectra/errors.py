@@ -36,7 +36,3 @@ class DomainError(MonopoleSpectraError, ValueError):
 
 class ConvergenceFailure(MonopoleSpectraError):
     """Mesh refinement (Richardson) disagreement beyond tolerance."""
-
-
-class NoIntersection(MonopoleSpectraError):
-    """No eigenvalue-curve intersection in the scanned range."""

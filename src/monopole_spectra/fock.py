@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import UnirrepSolution, algebra_energy_scalar
+from .algebra import UnirrepSolution
 from .errors import DiagonalPole, PositivityViolation
 from .params import ModelParams, QuantumNumbers
 
@@ -142,7 +142,6 @@ def build_rep(
 ) -> DeformedOscillatorRep:
     """Assemble the diagonal representation data from a unirrep solution."""
     p = sol.p
-    e_alg = algebra_energy_scalar(sol, params)
     # solve_unirrep evaluated the structure function at x = 1..p already
     phi = np.array(sol.phi_interior)
     if (phi <= 0.0).any():
@@ -152,7 +151,7 @@ def build_rep(
         number_diag=np.arange(p + 1, dtype=float),
         ladder_sub=np.sqrt(phi),
         u=sol.u,
-        energy_scalar=e_alg,
+        energy_scalar=sol.E * params.hbar ** 2,
         lsq_scalar=qn.lsq(params.hbar),
         tsq_scalar=qn.tsq(params.hbar),
     )

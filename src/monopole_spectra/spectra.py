@@ -10,6 +10,11 @@ iteration at the bracket midpoint gives the eigenvector on N, and one solve
 from it, interpolated onto 2N and shifted at the N value, gives the one on 2N.
 Each eigenvalue is its vector's Rayleigh quotient in energy form.
 
+Each operator is solved in reduced units, hbar = omega = 1 (the angular ones
+see the couplings only as c_i / hbar^2 and lam_i / hbar^2), so the solver
+meets one problem for every physical scale; `EigenResult.scaled` then maps
+both arrays into physical units once, by the model's exact scale law.
+
 The two Coulomb-type 5D pictures are solved through their 8D duals.  The map
 x = y^2, chi = (2y)^(1/2) phi turns the 5D radial equation into the 8D radial
 one at Gamma = 4 Lambda, and each parabolic sector into a cylindrical sector
@@ -25,10 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NoIntersection
+from .errors import ConvergenceFailure
 from .params import ModelParams
 from .specfun import delta_exponents, exp_cutoff
 
@@ -37,6 +43,7 @@ BRACKET_WIDTH = 0.1     # tau in box levels (pi / (x_max - x_min))^2: rescales e
 POLISH_RTOL = 1e-13     # settled: |change of Rayleigh quotient| <= this * its magnitude
 POLISH_SOLVES = 8
 START_SEED = 0
+CONV_TOL = 1e-3         # bound on the relative Richardson delta |richardson - fine|
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,7 @@ class SturmLiouvilleProblem:
     """-chi'' + V(x) chi = lambda chi on (x_min, x_max), Dirichlet ends.
 
     V(x) = inv_x/x + inv_x2/x^2 + csc2/sin^2 x + inv_1m_cos/(1 - cos x)
-           + inv_1p_cos/(1 + cos x) + lin*x + quad*x^2 + const.
+           + inv_1p_cos/(1 + cos x) + quad*x^2 + const.
     x_min = 0 places the wall exactly at the origin (exact for solutions
     vanishing there); grid nodes are interior, so V is never evaluated at 0.
     The angular terms are singular at x = 0 and pi, the ends of the angular
@@ -56,7 +63,6 @@ class SturmLiouvilleProblem:
     csc2: float = 0.0
     inv_1m_cos: float = 0.0
     inv_1p_cos: float = 0.0
-    lin: float = 0.0
     quad: float = 0.0
     const: float = 0.0
     domain: tuple[float, float] = (0.0, 1.0)
@@ -74,23 +80,19 @@ class SturmLiouvilleProblem:
             cs = np.cos(x)
             v = (v + self.csc2 / np.sin(x) ** 2 + self.inv_1m_cos / (1.0 - cs)
                  + self.inv_1p_cos / (1.0 + cs))
-        return v + self.lin * x + self.quad * x * x + self.const
+        return v + self.quad * x * x + self.const
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenvalues on the fine mesh plus Richardson extrapolation metadata.
-
-    conv_tol is the declared bound on |richardson - fine| (relative to the
-    spectrum scale) below which a level counts as converged, i.e. the
-    extrapolation pair sits in its asymptotic regime.
-    """
+    """Eigenvalues on the fine mesh and their Richardson extrapolation."""
 
     eigenvalues: np.ndarray
     richardson: np.ndarray
-    converged: np.ndarray
-    mesh_size: int
-    conv_tol: float
+
+    def scaled(self, f: Callable[[np.ndarray], np.ndarray]) -> EigenResult:
+        """Both arrays mapped by f, from reduced into physical units."""
+        return EigenResult(f(self.eigenvalues), f(self.richardson))
 
 
 def _tridiagonal(problem: SturmLiouvilleProblem, n: int):
@@ -210,28 +212,19 @@ def _refine(
     return fine
 
 
-def _richardson_solve(
-    problem: SturmLiouvilleProblem, k: int, conv_tol: float, strict: bool
-) -> EigenResult:
+def _richardson_solve(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     n = problem.mesh_size
     coarse, vectors = _eigenpairs(problem, k, n)
     fine = _refine(problem, coarse, vectors, 2 * n)
     rich = (4.0 * fine - coarse) / 3.0
     delta = _relative(fine, rich)
-    converged = delta <= conv_tol
-    if strict and not np.all(converged):
+    if not np.all(delta <= CONV_TOL):
         worst = int(np.argmax(delta))
         raise ConvergenceFailure(
             f"level {worst}: relative Richardson delta {delta[worst]:.3g} exceeds "
-            f"conv_tol={conv_tol} on meshes ({n}, {2 * n})"
+            f"conv_tol={CONV_TOL} on meshes ({n}, {2 * n})"
         )
-    return EigenResult(
-        eigenvalues=fine,
-        richardson=rich,
-        converged=converged,
-        mesh_size=problem.mesh_size,
-        conv_tol=conv_tol,
-    )
+    return EigenResult(fine, rich)
 
 
 def exponent_from_separation(sep: float) -> float:
@@ -242,12 +235,7 @@ def exponent_from_separation(sep: float) -> float:
 # ----------------------------------------------------------------- 5D Kepler
 
 def kepler_radial_spectrum(
-    lam: float,
-    params: ModelParams,
-    k: int = 5,
-    mesh: int = 2000,
-    conv_tol: float = 1e-3,
-    strict: bool = True,
+    lam: float, params: ModelParams, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k bound-state energies of the 5D radial equation at separation
     constant lam >= 0.
@@ -258,15 +246,8 @@ def kepler_radial_spectrum(
     """
     if lam < 0:
         raise ValueError(f"separation constant must be non-negative, got {lam}")
-    res = oscillator_radial_spectrum(4.0 * lam, 1.0, 1.0, k, mesh, conv_tol, strict)
-
-    def energy(eps: np.ndarray) -> np.ndarray:
-        return -8.0 * params.c0 ** 2 / (params.hbar ** 2 * (2.0 * eps) ** 2)
-
-    return EigenResult(
-        energy(res.eigenvalues), energy(res.richardson), res.converged,
-        res.mesh_size, res.conv_tol,
-    )
+    return oscillator_radial_spectrum(4.0 * lam, 1.0, 1.0, k, mesh).scaled(
+        lambda eps: -8.0 * params.c0 ** 2 / (params.hbar ** 2 * (2.0 * eps) ** 2))
 
 
 def kepler_radial_oracle(lam: float, params: ModelParams, k: int = 5) -> np.ndarray:
@@ -275,25 +256,17 @@ def kepler_radial_oracle(lam: float, params: ModelParams, k: int = 5) -> np.ndar
     return -params.c0 ** 2 / (2.0 * params.hbar ** 2 * (n + ell + 2.0) ** 2)
 
 
-def _angular_solve(
-    q1: float, q2: float, k: int, mesh: int, conv_tol: float, strict: bool
-) -> EigenResult:
+def _angular_solve(q1: float, q2: float, k: int, mesh: int) -> EigenResult:
     # -chi'' + [3/4 csc^2 + 2 q2/(1-cos) + 2 q1/(1+cos) - 9/4] chi = sep * chi
     problem = SturmLiouvilleProblem(
         csc2=0.75, inv_1m_cos=2.0 * q2, inv_1p_cos=2.0 * q1, const=-2.25,
         domain=(0.0, math.pi), mesh_size=mesh,
     )
-    return _richardson_solve(problem, k, conv_tol, strict)
+    return _richardson_solve(problem, k)
 
 
 def kepler_angular_spectrum(
-    J: float,
-    L: float,
-    params: ModelParams,
-    k: int = 5,
-    mesh: int = 2000,
-    conv_tol: float = 1e-3,
-    strict: bool = True,
+    J: float, L: float, params: ModelParams, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k separation constants of the polar equation at labels (J, L)."""
     if J < 0 or L < 0:
@@ -301,7 +274,7 @@ def kepler_angular_spectrum(
     hb2 = params.hbar ** 2
     q1 = J * (J + 1.0) + params.c1 / hb2
     q2 = L * (L + 1.0) + params.c2 / hb2
-    return _angular_solve(q1, q2, k, mesh, conv_tol, strict)
+    return _angular_solve(q1, q2, k, mesh)
 
 
 def kepler_angular_oracle(J: float, L: float, params: ModelParams, k: int = 5) -> np.ndarray:
@@ -314,36 +287,28 @@ def kepler_angular_oracle(J: float, L: float, params: ModelParams, k: int = 5) -
 # ------------------------------------------------------------ 8D oscillator
 
 def oscillator_radial_spectrum(
-    gamma: float,
-    omega: float,
-    hbar: float = 1.0,
-    k: int = 5,
-    mesh: int = 2000,
-    conv_tol: float = 1e-3,
-    strict: bool = True,
+    gamma: float, omega: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k energies of the 8D radial equation at separation constant
-    gamma >= 0."""
+    gamma >= 0.
+
+    Solved at hbar = omega = 1: u = (hbar / omega)^(1/2) t takes the operator
+    to -chi'' + [(gamma + 35/4)/t^2 + t^2] chi = (2 E / (hbar omega)) chi.
+    """
     if gamma < 0 or omega <= 0:
         raise ValueError("gamma must be non-negative and omega positive")
-    hb2 = hbar ** 2
     g = 0.5 * (-3.0 + math.sqrt(9.0 + gamma))
-    # Gaussian envelope exp(-omega u^2 / (2 hbar)) ~ exp(-kappa x / 2) in x=u^2
-    x_max = exp_cutoff(omega / hbar, g + (k - 1) + 1.75, ENVELOPE_CUT)
-    u_max = math.sqrt(x_max)
-    # chi = u^(7/2) R(u)
+    # Gaussian envelope exp(-t^2 / 2) = exp(-x / 2) in x = t^2
+    x_max = exp_cutoff(1.0, g + (k - 1) + 1.75, ENVELOPE_CUT)
+    # chi = t^(7/2) R(t)
     problem = SturmLiouvilleProblem(
         inv_x2=gamma + 35.0 / 4.0,
-        quad=omega ** 2 / hb2,
-        domain=(0.0, u_max),
+        quad=1.0,
+        domain=(0.0, math.sqrt(x_max)),
         mesh_size=mesh,
     )
-    res = _richardson_solve(problem, k, conv_tol, strict)
-    factor = hb2 / 2.0
-    return EigenResult(
-        res.eigenvalues * factor, res.richardson * factor, res.converged,
-        res.mesh_size, res.conv_tol,
-    )
+    factor = hbar * omega / 2.0
+    return _richardson_solve(problem, k).scaled(lambda e: e * factor)
 
 
 def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: int = 5) -> np.ndarray:
@@ -353,15 +318,7 @@ def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: i
 
 
 def oscillator_angular_spectrum(
-    T: float,
-    K: float,
-    lam1: float,
-    lam2: float,
-    hbar: float = 1.0,
-    k: int = 5,
-    mesh: int = 2000,
-    conv_tol: float = 1e-3,
-    strict: bool = True,
+    T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k values of Gamma for the 8D polar equation at labels (T, K)."""
     if T < 0 or K < 0 or lam1 < 0 or lam2 < 0:
@@ -369,11 +326,7 @@ def oscillator_angular_spectrum(
     hb2 = hbar ** 2
     q1 = T * (T + 1.0) + 0.5 * lam1 / hb2
     q2 = K * (K + 1.0) + 0.5 * lam2 / hb2
-    res = _angular_solve(q1, q2, k, mesh, conv_tol, strict)
-    return EigenResult(
-        4.0 * res.eigenvalues, 4.0 * res.richardson, res.converged,
-        res.mesh_size, res.conv_tol,
-    )
+    return _angular_solve(q1, q2, k, mesh).scaled(lambda g: 4.0 * g)
 
 
 def oscillator_angular_oracle(
@@ -386,42 +339,32 @@ def oscillator_angular_oracle(
 
 
 def cylindrical_problem(
-    z: float, lam_coupling: float, omega: float, hbar: float, k: int, mesh: int
+    z: float, lam_coupling: float, hbar: float, k: int, mesh: int
 ) -> SturmLiouvilleProblem:
-    """One 4D cylindrical sector, chi = rho^(3/2) f(rho), on a domain that
-    holds the lowest k levels."""
-    if z < 0 or lam_coupling < 0 or omega <= 0:
-        raise ValueError("z, lam_coupling must be non-negative and omega positive")
-    hb2 = hbar ** 2
-    d = -1.0 + math.sqrt(2.0 * lam_coupling / hb2 + (2.0 * z + 1.0) ** 2) - z
-    x_max = exp_cutoff(omega / hbar, 0.5 * (d + z) + (k - 1) + 0.75, ENVELOPE_CUT)
-    q = z * (z + 1.0) + 0.5 * lam_coupling / hb2
+    """One 4D cylindrical sector at hbar = omega = 1, chi = t^(3/2) f(t) with
+    rho = (hbar / omega)^(1/2) t, on a domain that holds the lowest k levels.
+    hbar enters only through the coupling ratio lam_coupling / hbar^2."""
+    ratio = lam_coupling / hbar ** 2
+    d = -1.0 + math.sqrt(2.0 * ratio + (2.0 * z + 1.0) ** 2) - z
+    x_max = exp_cutoff(1.0, 0.5 * (d + z) + (k - 1) + 0.75, ENVELOPE_CUT)
+    q = z * (z + 1.0) + 0.5 * ratio
     return SturmLiouvilleProblem(
         inv_x2=4.0 * q + 0.75,
-        quad=omega ** 2 / hb2,
+        quad=1.0,
         domain=(0.0, math.sqrt(x_max)),
         mesh_size=mesh,
     )
 
 
 def cylindrical_spectrum(
-    z: float,
-    lam_coupling: float,
-    omega: float,
-    hbar: float = 1.0,
-    k: int = 5,
-    mesh: int = 2000,
-    conv_tol: float = 1e-3,
-    strict: bool = True,
+    z: float, lam_coupling: float, omega: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k single-factor energies of one 4D cylindrical sector."""
-    problem = cylindrical_problem(z, lam_coupling, omega, hbar, k, mesh)
-    res = _richardson_solve(problem, k, conv_tol, strict)
-    factor = hbar ** 2 / 2.0
-    return EigenResult(
-        res.eigenvalues * factor, res.richardson * factor, res.converged,
-        res.mesh_size, res.conv_tol,
-    )
+    if z < 0 or lam_coupling < 0 or omega <= 0:
+        raise ValueError("z, lam_coupling must be non-negative and omega positive")
+    problem = cylindrical_problem(z, lam_coupling, hbar, k, mesh)
+    factor = hbar * omega / 2.0
+    return _richardson_solve(problem, k).scaled(lambda e: e * factor)
 
 
 def cylindrical_oracle(
@@ -441,61 +384,38 @@ class ParabolicLevel:
     lam_tilde: float
     energy: float
     kappa: float
-    converged: bool
 
 
 def parabolic_quantization(
-    J: float,
-    L: float,
-    params: ModelParams,
-    kappa_range: tuple[float, float] | None = None,
-    n_max: int = 2,
-    mesh: int = 2000,
-    conv_tol: float = 1e-3,
-    strict: bool = True,
-    pairs: list[tuple[int, int]] | None = None,
+    J: float, L: float, params: ModelParams, n_max: int = 2, mesh: int = 2000
 ) -> list[ParabolicLevel]:
-    """Quantized parabolic states: for each node pair (n1, n2), the kappa at
-    which the sector separation constants satisfy xi1 + xi2 = 0.
+    """Quantized parabolic states: for each node pair n1 + n2 <= n_max, the
+    kappa at which the sector separation constants satisfy xi1 + xi2 = 0.
 
     Under x = y^2 sector i is the cylindrical sector at coupling
     2 c_i / hbar^2 (hbar = omega = 1) with eigenvalue
     4 (xi_i + c0 / (2 hbar^2)) = kappa nu^i, nu^i = 2 eps^i, so
     kappa* = 4 c0 / (hbar^2 (nu^1_n1 + nu^2_n2)), E = -hbar^2 kappa*^2 / 2
     and lam_tilde = 2 xi1 / hbar, all from the sector spectra Richardson-
-    extrapolated over (mesh, 2*mesh).  A supplied kappa_range must contain
-    kappa*, otherwise NoIntersection is raised.
+    extrapolated over (mesh, 2*mesh).
     """
     if J < 0 or L < 0:
         raise ValueError("J and L must be non-negative")
     hb2 = params.hbar ** 2
-    if pairs is None:
-        pairs = [(i, s - i) for s in range(n_max + 1) for i in range(s + 1)]
-    if not pairs:
+    if n_max < 0:
         return []
-    sector1 = cylindrical_spectrum(
-        J, 2.0 * params.c1 / hb2, 1.0, 1.0, max(n1 for n1, _ in pairs) + 1,
-        mesh, conv_tol, strict,
-    )
-    sector2 = cylindrical_spectrum(
-        L, 2.0 * params.c2 / hb2, 1.0, 1.0, max(n2 for _, n2 in pairs) + 1,
-        mesh, conv_tol, strict,
-    )
+    sector1 = cylindrical_spectrum(J, 2.0 * params.c1 / hb2, 1.0, 1.0, n_max + 1, mesh)
+    sector2 = cylindrical_spectrum(L, 2.0 * params.c2 / hb2, 1.0, 1.0, n_max + 1, mesh)
     levels = []
-    for n1, n2 in pairs:
+    for n1, n2 in ((i, s - i) for s in range(n_max + 1) for i in range(s + 1)):
         nu1 = 2.0 * sector1.richardson[n1]
         nu2 = 2.0 * sector2.richardson[n2]
         kappa = 4.0 * params.c0 / (hb2 * (nu1 + nu2))
-        if kappa_range is not None and not kappa_range[0] <= kappa <= kappa_range[1]:
-            raise NoIntersection(
-                f"kappa*={kappa} of (n1, n2)=({n1}, {n2}) lies outside kappa range {kappa_range}"
-            )
         xi1 = kappa * nu1 / 4.0 - params.c0 / (2.0 * hb2)
         levels.append(
             ParabolicLevel(
                 n1=n1, n2=n2, lam_tilde=2.0 * xi1 / params.hbar,
                 energy=-hb2 * kappa ** 2 / 2.0, kappa=kappa,
-                converged=bool(sector1.converged[n1] and sector2.converged[n2]),
             )
         )
     return levels

@@ -5,7 +5,7 @@ import pytest
 
 from monopole_spectra import ModelParams, spectra
 from monopole_spectra.cli import ODE_RTOL, relative_errors
-from monopole_spectra.errors import ConvergenceFailure, NoIntersection
+from monopole_spectra.errors import ConvergenceFailure
 from monopole_spectra.spectra import (
     SturmLiouvilleProblem,
     cylindrical_oracle,
@@ -69,7 +69,7 @@ class TestKeplerRadial:
 
     def test_strict_convergence_failure(self):
         with pytest.raises(ConvergenceFailure):
-            kepler_radial_spectrum(0.0, UNIT, k=3, mesh=10, conv_tol=1e-12)
+            kepler_radial_spectrum(0.0, UNIT, k=3, mesh=10)
 
 
 class TestKeplerAngular:
@@ -149,7 +149,6 @@ class TestParabolic:
         for l in levels:
             want = parabolic_oracle(l.n1, l.n2, 0.5, 0.5, p)
             assert l.energy == pytest.approx(want, rel=1e-6)
-            assert l.converged
 
     def test_matches_hyperspherical_degeneracy(self):
         """Parabolic (n1, n2) and hyperspherical (n, lam) energies coincide
@@ -168,26 +167,14 @@ class TestParabolic:
         want = [parabolic_oracle(l.n1, l.n2, 0.0, 0.0, p) for l in levels]
         assert np.max(relative_errors(got, want)) <= ODE_RTOL
 
-    def test_no_intersection(self):
-        with pytest.raises(NoIntersection):
-            parabolic_quantization(
-                0.0, 0.0, UNIT, kappa_range=(5.0, 6.0), n_max=0, mesh=500
-            )
-        inside = parabolic_quantization(
-            0.0, 0.0, UNIT, kappa_range=(0.4, 0.6), n_max=0, mesh=500
-        )
-        assert inside[0].kappa == pytest.approx(0.5, rel=1e-5)
-
     def test_lam_tilde_antisymmetry(self):
         """Swapping the sectors flips the separation constant."""
-        p = ModelParams(1.0, 0.8, 0.2)
-        lv = {(" %d%d" % (l.n1, l.n2)): l for l in
-              parabolic_quantization(0.0, 0.0, p, pairs=[(1, 0)], mesh=2000)}
-        q = ModelParams(1.0, 0.2, 0.8)
-        lw = {(" %d%d" % (l.n1, l.n2)): l for l in
-              parabolic_quantization(0.0, 0.0, q, pairs=[(0, 1)], mesh=2000)}
-        a = lv[" 10"]
-        b = lw[" 01"]
+        def by_pair(params):
+            return {(l.n1, l.n2): l
+                    for l in parabolic_quantization(0.0, 0.0, params, n_max=1, mesh=2000)}
+
+        a = by_pair(ModelParams(1.0, 0.8, 0.2))[1, 0]
+        b = by_pair(ModelParams(1.0, 0.2, 0.8))[0, 1]
         assert a.energy == pytest.approx(b.energy, rel=1e-9)
         assert a.lam_tilde == pytest.approx(-b.lam_tilde, rel=1e-6)
 
@@ -199,7 +186,7 @@ class TestParabolicNodeCounts:
         changes, so indexing the sector spectrum is the node-count labelling."""
         from scipy.linalg import eigh_tridiagonal
 
-        prob = cylindrical_problem(0.5, 2.0 * 0.7, 1.0, 1.0, 4, 1200)
+        prob = cylindrical_problem(0.5, 2.0 * 0.7, 1.0, 4, 1200)
         diag, off, _, _ = spectra._tridiagonal(prob, prob.mesh_size)
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
         for idx in range(4):
@@ -244,23 +231,38 @@ class TestExactScaling:
 class TestExactScaling8D:
     """The 8D energies are linear in omega at fixed hbar, and the angular
     spectra depend on the couplings only through c_i/hbar^2 and lam_i/hbar^2.
-    The mesh, the bracket width and the polish all rescale with the domain,
-    so both hold to rounding."""
+    The radial operators are posed at hbar = omega = 1, so every scale hands
+    the solver one and the same problem, and the energies are hbar omega
+    times its values to rounding."""
 
     W = 3.7
     S = 1.7
 
-    @pytest.mark.parametrize("mesh", [2000, 4000, 8000])
-    def test_osc_radial_linear_in_omega(self, mesh):
-        base = oscillator_radial_spectrum(12.0, 1.3, 0.8, 5, mesh).richardson
-        scaled = oscillator_radial_spectrum(12.0, self.W * 1.3, 0.8, 5, mesh).richardson
-        np.testing.assert_allclose(scaled, self.W * base, rtol=1e-13, atol=0)
+    @staticmethod
+    def assert_linear_in_hbar_omega(monkeypatch, spectrum, scales):
+        """spectrum(omega, hbar) at each (omega, hbar) of scales is hbar omega
+        times one spectrum, and every call hands the Richardson solver the
+        same (problem, k)."""
+        values = []
+        solves = TestRefinement.solves(
+            monkeypatch, lambda: values.extend(spectrum(w, h).richardson for w, h in scales))
+        (w0, h0), base = scales[0], values[0]
+        for (w, h), got in zip(scales, values):
+            np.testing.assert_allclose(got, w * h / (w0 * h0) * base, rtol=1e-13, atol=0)
+        problems = {(problem, k) for problem, k, _ in solves}
+        assert len(problems) == 1, problems
 
     @pytest.mark.parametrize("mesh", [2000, 4000, 8000])
-    def test_cylindrical_linear_in_omega(self, mesh):
-        base = cylindrical_spectrum(1.0, 2.5, 0.7, 1.1, 5, mesh).richardson
-        scaled = cylindrical_spectrum(1.0, 2.5, self.W * 0.7, 1.1, 5, mesh).richardson
-        np.testing.assert_allclose(scaled, self.W * base, rtol=1e-13, atol=0)
+    def test_osc_radial_linear_in_omega(self, mesh, monkeypatch):
+        self.assert_linear_in_hbar_omega(
+            monkeypatch, lambda w, h: oscillator_radial_spectrum(12.0, w, h, 5, mesh),
+            [(1.3, 0.8), (self.W * 1.3, 0.8), (0.3, 0.5), (7.0, 2.0), (1.0, 1.0)])
+
+    @pytest.mark.parametrize("mesh", [2000, 4000, 8000])
+    def test_cylindrical_linear_in_omega(self, mesh, monkeypatch):
+        self.assert_linear_in_hbar_omega(
+            monkeypatch, lambda w, h: cylindrical_spectrum(1.0, 2.5, w, h, 5, mesh),
+            [(0.7, 1.1), (self.W * 0.7, 1.1), (0.3, 1.1), (7.0, 1.1)])
 
     def test_angular_spectra_depend_on_couplings_over_hbar2(self):
         s2 = self.S ** 2
@@ -311,8 +313,8 @@ class TestRefinement:
         seen = []
         real = spectra._richardson_solve
 
-        def spy(problem, k, conv_tol, strict):
-            seen.append((problem, k, real(problem, k, conv_tol, strict)))
+        def spy(problem, k):
+            seen.append((problem, k, real(problem, k)))
             return seen[-1][2]
 
         monkeypatch.setattr(spectra, "_richardson_solve", spy)
