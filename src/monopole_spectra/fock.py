@@ -119,7 +119,7 @@ def _tridiagonal_product_diag(lower: np.ndarray, upper: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class AlgebraReport:
-    """Max-norm relative residuals of the algebra relations and Casimir.
+    """Relative residuals of the algebra relations and Casimir.
 
     residual_q2 uses the linear-in-B constant of the commutation relation;
     residual_q2_alt_sign the variant implied by the printed Casimir.
@@ -229,10 +229,11 @@ def verify_algebra(
 ) -> AlgebraReport:
     """Measure the commutation-relation residuals of the generator triple.
 
-    Diagnostic: large residuals are data, not failure.  The q1 and q2
-    residuals are the max-norm of the residual matrix over the max-norm of its
-    largest term; q3 is the largest entry of the residual relative to the
-    magnitudes of the products that form that entry.
+    Diagnostic: large residuals are data, not failure.  The q1 residual is
+    the max-norm of the residual matrix over the max-norm of C; q2, q3 and the
+    Casimir's off-diagonal are the largest entry of the residual relative to
+    the magnitudes of the products that form that entry, so rounding counts
+    at each entry's own scale.
     """
     a, d, o, c = gen.a, gen.d, gen.o, gen.c
     h = rep.energy_scalar
@@ -243,15 +244,19 @@ def verify_algebra(
 
     q1 = _maxabs(c - a_diff * o) / max(_maxabs(c), 1e-300)
 
-    # [A, C] - 2{A, B} - 8B - g1: diagonal -4ad - 8d - g1, band 1 below
-    ac, ab, b8 = a_diff * c, 2.0 * a_sum * o, 8.0 * o
+    # [A, C] - 2{A, B} - 8B - g1: diagonal -4ad - 8d - g1, band 1 below.
+    # Like q3, each entry is measured against the summed magnitudes of the
+    # terms that form it, a_n - a_{n+1} counting as |a_n| + |a_{n+1}|
+    abs_a, abs_d, abs_o, abs_c = np.abs(a), np.abs(d), np.abs(o), np.abs(c)
+    c_2o = abs_c + 2.0 * abs_o
+    q2_band = _maxabs((a_diff * c - 2.0 * a_sum * o - 8.0 * o)
+                      / np.maximum((abs_a[:-1] + abs_a[1:]) * c_2o + 8.0 * abs_o, 1e-300))
     ad4, d8 = 4.0 * a * d, 8.0 * d
-    q2_band = _maxabs(ac - ab - b8)
     q2_diag = -ad4 - d8
-    q2_scale = _maxabs(ac, ad4, ab, d8, b8)
+    q2_diag_mag = np.abs(ad4) + np.abs(d8)
 
     def q2_at(g: float) -> float:
-        return max(_maxabs(q2_diag - g), q2_band) / max(q2_scale, abs(g), 1e-300)
+        return max(_maxabs((q2_diag - g) / np.maximum(q2_diag_mag + abs(g), 1e-300)), q2_band)
 
     # the q3 residual is r0 + s r1 + s^2 r2 at the rho rescale s, with
     # B_s = D + s O and C_s = s C1: r0 = 2D^2 - 8HA - g2 (diagonal),
@@ -267,11 +272,10 @@ def verify_algebra(
     n1, n2 = float(r1 @ r1), float(r2_band @ r2_band)
     # each entry is measured against the summed magnitudes of the products
     # that form it, before they cancel, so its rounding counts at its own scale
-    abs_d, abs_o, abs_c = np.abs(d), np.abs(o), np.abs(c)
     abs_oc = abs_o * abs_c
     m0 = 2.0 * dd + np.abs(8.0 * h * a) + abs(g2)
     m2_diag = 2.0 * _tridiagonal_product_diag(abs_oc, abs_oc) + 2.0 * oo0
-    m1 = (abs_d[:-1] + abs_d[1:]) * (abs_c + 2.0 * abs_o)
+    m1 = (abs_d[:-1] + abs_d[1:]) * c_2o
     m2_band = abs_o[:-1] * abs_c[1:] + abs_c[:-1] * abs_o[1:] + 2.0 * np.abs(oo2)
     q3_bands = max(_maxabs(r1 / np.maximum(m1, 1e-300)),
                    _maxabs(r2_band / np.maximum(m2_band, 1e-300)))
@@ -298,7 +302,7 @@ def verify_algebra(
                 key=lambda s: abs(s - 1.0))
 
     terms = _casimir_terms(gen, rep, params, s_fit, "closure", (dd, do, oo0, oo2))
-    offdiag, scalar_mismatch = _casimir_measures(terms, rep, params)
+    offdiag, scalar_mismatch = _casimir_measures(terms, gen, rep, params, s_fit)
     return AlgebraReport(
         residual_q1=q1,
         residual_q2=q2_at(g1),
@@ -380,13 +384,26 @@ def casimir_matrix(
 
 
 def _casimir_measures(
-    terms: tuple[list[np.ndarray], ...], rep: DeformedOscillatorRep, params: ModelParams
+    terms: tuple[list[np.ndarray], ...],
+    gen: GeneratorMatrices,
+    rep: DeformedOscillatorRep,
+    params: ModelParams,
+    rho_scale: float,
 ) -> tuple[float, float]:
     diag, band1, band2 = (sum(band[1:], band[0]) for band in terms)
     k_scalar = casimir_scalar(params, rep.energy_scalar, rep.lsq_scalar, rep.tsq_scalar)
     scale = max(abs(k_scalar), _maxabs(*terms[0], *terms[1], *terms[2]), 1e-300)
-    diag_scale = max(_maxabs(diag), scale * 1e-3, 1e-300)
-    offdiag = _maxabs(band1, band2) / diag_scale
+    # each off-diagonal entry is measured against the summed magnitudes of
+    # its terms.  c_n = (a_n - a_{n+1}) o_n is known only to
+    # eps (|a_n| + |a_{n+1}|) |o_n|, so band 2's first term, C_s^2 =
+    # s^2 c_n c_{n+1}, counts that magnitude for each factor in turn
+    abs_c = np.abs(gen.c)
+    c_mag = (np.abs(gen.a[:-1]) + np.abs(gen.a[1:])) * np.abs(gen.o)
+    mag1 = sum(np.abs(t) for t in terms[1])
+    mag2 = (rho_scale ** 2 * (c_mag[:-1] * abs_c[1:] + abs_c[:-1] * c_mag[1:])
+            + sum(np.abs(t) for t in terms[2][1:]))
+    offdiag = max(_maxabs(band1 / np.maximum(mag1, 1e-300)),
+                  _maxabs(band2 / np.maximum(mag2, 1e-300)))
     return offdiag, _maxabs(diag - k_scalar) / scale
 
 
@@ -398,7 +415,7 @@ def casimir_check(
     rho_scale: float = 1.0,
     coefficients: str = "closure",
 ) -> tuple[float, float]:
-    """(max off-diagonal / diagonal scale, max diagonal deviation from the
-    scalar Casimir, relative)."""
+    """(largest off-diagonal entry relative to the magnitudes of its terms,
+    max diagonal deviation from the scalar Casimir, relative)."""
     terms = _casimir_terms(gen, rep, params, rho_scale, coefficients, _b_square(gen))
-    return _casimir_measures(terms, rep, params)
+    return _casimir_measures(terms, gen, rep, params, rho_scale)

@@ -3,12 +3,18 @@
 Every equation is brought to symmetric Sturm-Liouville form, so the
 discretized operator is a real symmetric tridiagonal matrix.  Each spectrum is
 computed on meshes (N, 2N) and Richardson-extrapolated: a loose Sturm
-bracket on N; inverse iteration plus Rayleigh quotient on N and 2N.  Bisection
-to a width of a tenth of the domain's box level (scipy's eigh_tridiagonal,
-imported on the first solve) certifies each level and its numbering; inverse
-iteration at the bracket midpoint gives the eigenvector on N, and one solve
-from it, interpolated onto 2N and shifted at the N value, gives the one on 2N.
-Each eigenvalue is its vector's Rayleigh quotient in energy form.
+bracket on a coarse mesh of 64 points per level; inverse iteration plus
+Rayleigh quotient there, on N and on 2N.  Bisection to a width of a tenth of
+the domain's box level (scipy's eigh_tridiagonal, imported on the first solve)
+certifies each coarse level and its numbering, and inverse iteration at the
+bracket midpoint gives its eigenvector.  Interpolated onto N, each vector is
+polished there at its coarse value until the Rayleigh quotient settles; the
+last solve's residual gives each level an interval, and disjoint intervals
+with a Sturm count of exactly k below the top one certify the lowest k levels
+on N.  Should the coarse mesh fail or the certificate not hold, the bracket
+and polish run on N itself.  One solve from each N vector, interpolated onto
+2N and shifted at the N value, gives the one on 2N.  Each eigenvalue is its
+vector's Rayleigh quotient in energy form.
 
 Each operator is solved in reduced units, hbar = omega = 1 (the angular ones
 see the couplings only as c_i / hbar^2 and lam_i / hbar^2), so the solver
@@ -42,6 +48,7 @@ ENVELOPE_CUT = 1e-14
 BRACKET_WIDTH = 0.1     # tau in box levels (pi / (x_max - x_min))^2: rescales exactly
 POLISH_RTOL = 1e-13     # settled: |change of Rayleigh quotient| <= this * its magnitude
 POLISH_SOLVES = 8
+COARSE_POINTS = 64      # points per level of the mesh the levels are bracketed on
 START_SEED = 0
 CONV_TOL = 1e-3         # bound on the relative Richardson delta |richardson - fine|
 
@@ -116,6 +123,29 @@ def _rayleigh(z: np.ndarray, v: np.ndarray, h: float) -> tuple[float, float]:
     return (kinetic + potential) / norm, (kinetic + abs(potential)) / norm
 
 
+def _polish(diag, off, v, h, shift: float, z: np.ndarray):
+    """Inverse iteration at the fixed shift from z until the Rayleigh quotient
+    settles, in at most POLISH_SOLVES solves.
+
+    Returns (settled, rho, last, z, residual): the last two Rayleigh quotients,
+    the unit iterate z and ||(T - shift) z|| = ||x|| / ||y|| of the last solve
+    y = (T - shift)^-1 x.  x is the previous unit iterate, since the quotient
+    cannot settle on the first solve.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    factors = dgttrf(off, diag - shift, off, overwrite_d=1)[:5]
+    rho = math.inf
+    for _ in range(POLISH_SOLVES):
+        z = dgttrs(*factors, z)[0]
+        norm = math.sqrt(z @ z)
+        z /= norm
+        last, (rho, scale) = rho, _rayleigh(z, v, h)
+        if abs(rho - last) <= POLISH_RTOL * scale:
+            return True, rho, last, z, 1.0 / norm
+    return False, rho, last, z, math.inf
+
+
 def _eigenpairs(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues on mesh n and their eigenvectors (one row each).
 
@@ -126,7 +156,6 @@ def _eigenpairs(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndar
     settles, which must happen inside the level's own bracket.
     """
     from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.lapack import dgttrf, dgttrs
 
     if not 1 <= k <= n:
         raise ValueError(f"cannot resolve {k} levels on mesh {n}: need 1 <= levels <= mesh")
@@ -146,15 +175,8 @@ def _eigenpairs(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndar
     values = np.empty(k)
     vectors = np.empty((k, n))
     for j, shift in enumerate(mid):
-        factors = dgttrf(off, diag - shift, off, overwrite_d=1)[:5]
-        z, rho = start, math.inf
-        for _ in range(POLISH_SOLVES):
-            z = dgttrs(*factors, z)[0]
-            z /= math.sqrt(z @ z)
-            last, (rho, scale) = rho, _rayleigh(z, v, h)
-            if abs(rho - last) <= POLISH_RTOL * scale:
-                break
-        else:
+        settled, rho, last, z, _ = _polish(diag, off, v, h, shift, start)
+        if not settled:
             raise ConvergenceFailure(
                 f"level {j}: Rayleigh quotient did not settle in {POLISH_SOLVES} solves "
                 f"(last {last:.16g}, then {rho:.16g}); shifted at bracket midpoint "
@@ -171,9 +193,72 @@ def _eigenpairs(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndar
     return values, vectors
 
 
+def _interpolate(vectors: np.ndarray, n: int) -> np.ndarray:
+    """Each row of vectors linearly interpolated onto the n-point mesh of the
+    same domain: one affine map takes both meshes onto [0, 1], and the walls
+    hold zeros."""
+    nodes = np.linspace(0.0, 1.0, vectors.shape[1] + 2)
+    at = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    walled = np.zeros(vectors.shape[1] + 2)
+    out = np.empty((len(vectors), n))
+    for j, z in enumerate(vectors):
+        walled[1:-1] = z
+        out[j] = np.interp(at, nodes, walled)
+    return out
+
+
+def _lift(
+    problem: SturmLiouvilleProblem, coarse: np.ndarray, vectors: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The coarse eigenpairs polished on mesh n, each shifted at its coarse
+    value and started from its interpolated eigenvector, or None unless they
+    are certified as the lowest len(coarse) levels of mesh n in order.
+
+    The last solve bounds ||(T - rho) z|| <= ||(T - shift) z||, so each
+    interval rho_j +- radius_j (plus rounding slack 4 eps ||T||) holds an
+    eigenvalue.  Pairwise disjoint intervals hold distinct ones, and a Sturm
+    count of exactly k below the top of the last interval (and above
+    min V - 1, under the spectrum) makes them the lowest k.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    k = len(coarse)
+    diag, off, v, h = _tridiagonal(problem, n)
+    slack = 4.0 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 / h ** 2)
+    values, radius = np.empty(k), np.empty(k)
+    lifted = _interpolate(vectors, n)
+    for j, shift in enumerate(coarse):
+        settled, values[j], _, lifted[j], residual = _polish(
+            diag, off, v, h, shift, lifted[j])
+        if not settled:
+            return None
+        radius[j] = residual + slack
+    if not np.all(values[1:] - radius[1:] > values[:-1] + radius[:-1]):
+        return None
+    lower, upper = float(np.min(v)) - 1.0, values[-1] + radius[-1]
+    count = dstebz(diag, off, 1, lower, upper, 0, 0, upper - lower, b"E")[0]
+    return (values, lifted) if count == k else None
+
+
+def _levels(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs on mesh n.  `_eigenpairs` brackets and polishes
+    them on COARSE_POINTS * k points, and `_lift` carries them onto mesh n.
+    If the coarse mesh fails or the lift is not certified, `_eigenpairs`
+    runs on mesh n itself."""
+    m = COARSE_POINTS * k
+    if 0 < m < n:
+        try:
+            lifted = _lift(problem, *_eigenpairs(problem, k, m), n)
+        except ConvergenceFailure:
+            lifted = None
+        if lifted is not None:
+            return lifted
+    return _eigenpairs(problem, k, n)
+
+
 def solve_lowest(problem: SturmLiouvilleProblem, k: int, mesh: int | None = None) -> np.ndarray:
     """Lowest k eigenvalues of the discretized problem."""
-    return _eigenpairs(problem, k, mesh if mesh is not None else problem.mesh_size)[0]
+    return _levels(problem, k, mesh if mesh is not None else problem.mesh_size)[0]
 
 
 def _relative(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -191,15 +276,9 @@ def _refine(
     from scipy.linalg.lapack import dgtsv
 
     diag, off, v, h = _tridiagonal(problem, n)
-    # the same affine map takes both meshes onto [0, 1]; the walls hold zeros
-    nodes = np.linspace(0.0, 1.0, vectors.shape[1] + 2)
-    at = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    walled = np.zeros(vectors.shape[1] + 2)
     fine = np.empty(len(coarse))
-    for j, shift in enumerate(coarse):
-        walled[1:-1] = vectors[j]
-        z = dgtsv(off, diag - shift, off, np.interp(at, nodes, walled),
-                  overwrite_d=1, overwrite_b=1)[3]
+    for j, (shift, z) in enumerate(zip(coarse, _interpolate(vectors, n))):
+        z = dgtsv(off, diag - shift, off, z, overwrite_d=1, overwrite_b=1)[3]
         fine[j] = _rayleigh(z, v, h)[0]
     rising = np.diff(fine) > 0
     if not np.all(rising):
@@ -214,7 +293,7 @@ def _refine(
 
 def _richardson_solve(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     n = problem.mesh_size
-    coarse, vectors = _eigenpairs(problem, k, n)
+    coarse, vectors = _levels(problem, k, n)
     fine = _refine(problem, coarse, vectors, 2 * n)
     rich = (4.0 * fine - coarse) / 3.0
     delta = _relative(fine, rich)

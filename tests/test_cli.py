@@ -108,11 +108,24 @@ class TestVerifyCommands:
         (5000, []),
         (12000, ["--c1", "0.5", "--c2", "0.5", "--l4", "1", "--T", "0.5"]),
         (16000, ["--c1", "0.5", "--c2", "0.5", "--l4", "1", "--T", "0.5"]),
+        (100000, ["--c1", "0.5", "--c2", "0.5", "--l4", "1", "--T", "0.5"]),
     ])
     def test_algebra_large_p_pass(self, p, sector, capsys):
         code, env = run_json(["verify", "algebra", "--p", str(p), *sector], capsys)
         assert code == 0
         assert all(c["passed"] for c in env["checks"])
+
+    def test_algebra_measures_do_not_grow_with_p(self, capsys):
+        """Rounding of the generator entries grows with p; measured entry by
+        entry against the terms that form it, it does not."""
+        sector = ["--c1", "0.5", "--c2", "0.5", "--l4", "1", "--T", "0.5"]
+        measured = {}
+        for p in (100, 100000):
+            code, env = run_json(["verify", "algebra", "--p", str(p), *sector], capsys)
+            assert code == 0
+            measured[p] = {c["name"]: c["measured"] for c in env["checks"]}
+        for name in ("first_commutation_relation", "casimir_centrality"):
+            assert 0.0 < measured[100000][name] <= 10.0 * measured[100][name], (name, measured)
 
     def test_algebra_q3_rounding_extras(self, capsys):
         code, env = run_json(

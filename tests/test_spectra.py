@@ -287,9 +287,10 @@ def bisection(problem, k, n):
 
 
 class TestRefinement:
-    """Each Richardson pair brackets the levels on mesh N by a loose bisection;
-    inverse iteration plus a Rayleigh quotient gives the values on N and, seeded
-    by the N eigenpairs, on 2N.  Both must agree with full bisection."""
+    """Each Richardson pair brackets the levels by a loose bisection on a
+    coarse mesh; inverse iteration plus a Rayleigh quotient gives the values
+    on N and, seeded by the N eigenpairs, on 2N.  Both must agree with full
+    bisection."""
 
     P = ModelParams(1.0, 0.7, 0.3)
     PICTURES = {
@@ -362,18 +363,21 @@ class TestRefinement:
 
     @staticmethod
     def misdirect(monkeypatch, level, solve):
-        """Make every inverse-iteration solve of `level` on the coarse mesh
-        return solve(vectors), vectors[j] being level j's last unit iterate."""
+        """Make every inverse-iteration solve of `level` return solve(vectors),
+        vectors[j] being level j's last unit iterate on the same mesh.  Levels
+        are counted by factorizations, one per level, on each mesh apart, so
+        the level fails on the bracketing mesh and again on mesh N."""
         import scipy.linalg.lapack as lapack
 
         real_trf, real_trs = lapack.dgttrf, lapack.dgttrs
-        vectors = []
+        meshes = {}
 
-        def trf(*args, **kwargs):  # one factorization per level
-            vectors.append(None)
+        def trf(*args, **kwargs):
+            meshes.setdefault(args[1].size, []).append(None)
             return real_trf(*args, **kwargs)
 
         def trs(*args, **kwargs):
+            vectors = meshes[args[1].size]
             if len(vectors) - 1 == level:
                 return solve(vectors), 0
             z = real_trs(*args, **kwargs)[0]
@@ -385,7 +389,7 @@ class TestRefinement:
 
     def test_inverse_iteration_failure_names_level_and_meshes(self, monkeypatch):
         rng = np.random.default_rng(7)
-        self.misdirect(monkeypatch, 1, lambda _: rng.standard_normal(500))
+        self.misdirect(monkeypatch, 1, lambda vectors: rng.standard_normal(vectors[0].size))
         with pytest.raises(ConvergenceFailure,
                            match=r"level 1: Rayleigh quotient did not settle in 8 solves "
                                  r"\(last [-\d.e]+, then [-\d.e]+\); shifted at bracket "
@@ -424,6 +428,70 @@ class TestRefinement:
                            match=r"level 1: bracket midpoint [\d.]+ lies within 2 tau of "
                                  r"level 0's [\d.]+ \(tau = 100\) on mesh 500$"):
             solve_lowest(prob, 3)
+
+
+class TestCoarseBracket:
+    """The levels are bracketed and polished on COARSE_POINTS points per
+    level, then lifted onto mesh N under a Sturm-count certificate; mesh N
+    is bracketed itself only when the lift is not certified."""
+
+    @pytest.mark.parametrize("picture", [p for p in TestRefinement.PICTURES if p != "parabolic"])
+    @pytest.mark.parametrize("mesh", [2000, 4000, 8000])
+    def test_bisection_runs_on_the_coarse_mesh_only(self, picture, mesh, monkeypatch):
+        import scipy.linalg
+
+        sizes = []
+        real = scipy.linalg.eigh_tridiagonal
+
+        def spy(d, e, *args, **kwargs):
+            sizes.append(d.size)
+            return real(d, e, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        TestRefinement.PICTURES[picture](5, mesh)
+        assert sizes == [5 * spectra.COARSE_POINTS] == [320]
+
+    @pytest.mark.parametrize("picture, k, mesh", TestRefinement.GRID)
+    def test_lifted_levels_match_bracketing_mesh_n(self, picture, k, mesh, monkeypatch):
+        run = TestRefinement.PICTURES[picture]
+        solves = TestRefinement.solves(monkeypatch, lambda: run(k, mesh))
+        for problem, levels, _ in solves:
+            n = problem.mesh_size
+            np.testing.assert_allclose(spectra._levels(problem, levels, n)[0],
+                                       spectra._eigenpairs(problem, levels, n)[0],
+                                       rtol=1e-13, atol=0)
+
+    def test_misnumbered_coarse_levels_fall_back(self, monkeypatch):
+        """Coarse levels shifted up by one lift onto disjoint intervals on
+        mesh N, but the Sturm count below the last is k + 1, not k."""
+        prob = spectra.SturmLiouvilleProblem(csc2=0.75, inv_1m_cos=1.3, inv_1p_cos=0.4,
+                                             const=-2.25, domain=(0.0, math.pi))
+        real = spectra._eigenpairs
+        meshes = []
+
+        def shifted(problem, k, n):
+            meshes.append(n)
+            if n == 2000:
+                return real(problem, k, n)
+            values, vectors = real(problem, k + 1, n)
+            return values[1:], vectors[1:]
+
+        monkeypatch.setattr(spectra, "_eigenpairs", shifted)
+        values, vectors = spectra._levels(prob, 5, 2000)
+        assert meshes == [320, 2000]
+        want_values, want_vectors = real(prob, 5, 2000)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(vectors, want_vectors)
+        np.testing.assert_allclose(values, bisection(prob, 5, 2000), rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("c1", [1e6, 1e7])
+    @pytest.mark.parametrize("mesh", [2000, 4000, 8000])
+    def test_strong_coupling_keeps_polished_precision(self, c1, mesh):
+        """A lift polished by a single solve is off by 6e-7 at c1 = 1e7,
+        mesh 2000; settled inverse iteration is within 3e-9."""
+        p = ModelParams(1.0, c1, 3e3)
+        res = kepler_angular_spectrum(0.5, 1.0, p, 5, mesh)
+        assert_matches_oracle(res, kepler_angular_oracle(0.5, 1.0, p, 5), tol=1e-8)
 
 
 class TestSturmLiouville:
