@@ -259,8 +259,9 @@ def verify_algebra(v: dict) -> tuple[list, list]:
         check("commutator_definition", rpt.residual_q1, 1e-13, "C = [A, B] by construction"),
         check("first_commutation_relation", rpt.residual_q2, ALGEBRA_RTOL,
               "closure of [A,C] against 2{A,B} + 8B + const"),
-        # q3 is relative entry by entry; in units of eps it shows the rounding
-        # of the generator entries (about 24 at p = 100, 3100 at p = 12000)
+        # q3 is relative entry by entry, against the rounding magnitudes of
+        # the generator entries; in units of eps it stays near 1 at every p
+        # (1.4 at p = 100, 1.5 at p = 12000 on c = (0.5, 0.5), l4 = 1, T = 0.5)
         check("second_commutation_relation", rpt.residual_q3, ALGEBRA_RTOL,
               "closure of [B,C] against -2B^2 + 8HA + const, calibrated rho",
               dim=rep.dim, q3_per_eps=rpt.residual_q3 / np.finfo(float).eps),

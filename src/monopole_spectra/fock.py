@@ -202,6 +202,12 @@ def _maxabs(*bands: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(x), initial=0.0))
 
 
+def _c_magnitude(gen: GeneratorMatrices) -> np.ndarray:
+    """(|a_n| + |a_{n+1}|) |o_n|: c_n = (a_n - a_{n+1}) o_n is known only to
+    eps times this magnitude, however far a_n - a_{n+1} cancels."""
+    return (np.abs(gen.a[:-1]) + np.abs(gen.a[1:])) * np.abs(gen.o)
+
+
 def _g1_constants(params: ModelParams, tsq: float) -> tuple[float, float]:
     """Linear-in-B constants: (commutation-relation form, Casimir-implied form)."""
     g1 = -2.0 * params.c0 * (params.c1 - params.c2) - 4.0 * params.c0 * tsq
@@ -271,12 +277,14 @@ def verify_algebra(
     r2_diag, r2_band = oc0 + 2.0 * oo0, oc2 + 2.0 * oo2
     n1, n2 = float(r1 @ r1), float(r2_band @ r2_band)
     # each entry is measured against the summed magnitudes of the products
-    # that form it, before they cancel, so its rounding counts at its own scale
-    abs_oc = abs_o * abs_c
+    # that form it, before they cancel, so its rounding counts at its own scale;
+    # in r2, as in the Casimir's band 2, c counts at its rounding magnitude
+    c_mag = _c_magnitude(gen)
+    abs_oc = abs_o * c_mag
     m0 = 2.0 * dd + np.abs(8.0 * h * a) + abs(g2)
     m2_diag = 2.0 * _tridiagonal_product_diag(abs_oc, abs_oc) + 2.0 * oo0
     m1 = (abs_d[:-1] + abs_d[1:]) * c_2o
-    m2_band = abs_o[:-1] * abs_c[1:] + abs_c[:-1] * abs_o[1:] + 2.0 * np.abs(oo2)
+    m2_band = abs_o[:-1] * c_mag[1:] + c_mag[:-1] * abs_o[1:] + 2.0 * np.abs(oo2)
     q3_bands = max(_maxabs(r1 / np.maximum(m1, 1e-300)),
                    _maxabs(r2_band / np.maximum(m2_band, 1e-300)))
 
@@ -394,11 +402,10 @@ def _casimir_measures(
     k_scalar = casimir_scalar(params, rep.energy_scalar, rep.lsq_scalar, rep.tsq_scalar)
     scale = max(abs(k_scalar), _maxabs(*terms[0], *terms[1], *terms[2]), 1e-300)
     # each off-diagonal entry is measured against the summed magnitudes of
-    # its terms.  c_n = (a_n - a_{n+1}) o_n is known only to
-    # eps (|a_n| + |a_{n+1}|) |o_n|, so band 2's first term, C_s^2 =
-    # s^2 c_n c_{n+1}, counts that magnitude for each factor in turn
+    # its terms; band 2's first term, C_s^2 = s^2 c_n c_{n+1}, counts c's
+    # rounding magnitude for each factor in turn
     abs_c = np.abs(gen.c)
-    c_mag = (np.abs(gen.a[:-1]) + np.abs(gen.a[1:])) * np.abs(gen.o)
+    c_mag = _c_magnitude(gen)
     mag1 = sum(np.abs(t) for t in terms[1])
     mag2 = (rho_scale ** 2 * (c_mag[:-1] * abs_c[1:] + abs_c[:-1] * c_mag[1:])
             + sum(np.abs(t) for t in terms[2][1:]))

@@ -2,19 +2,16 @@
 
 Every equation is brought to symmetric Sturm-Liouville form, so the
 discretized operator is a real symmetric tridiagonal matrix.  Each spectrum is
-computed on meshes (N, 2N) and Richardson-extrapolated: a loose Sturm
-bracket on a coarse mesh of 64 points per level; inverse iteration plus
-Rayleigh quotient there, on N and on 2N.  Bisection to a width of a tenth of
-the domain's box level (scipy's eigh_tridiagonal, imported on the first solve)
-certifies each coarse level and its numbering, and inverse iteration at the
-bracket midpoint gives its eigenvector.  Interpolated onto N, each vector is
-polished there at its coarse value until the Rayleigh quotient settles; the
-last solve's residual gives each level an interval, and disjoint intervals
-with a Sturm count of exactly k below the top one certify the lowest k levels
-on N.  Should the coarse mesh fail or the certificate not hold, the bracket
-and polish run on N itself.  One solve from each N vector, interpolated onto
-2N and shifted at the N value, gives the one on 2N.  Each eigenvalue is its
-vector's Rayleigh quotient in energy form.
+computed on meshes (N, 2N) and Richardson-extrapolated.  LAPACK bisection
+and inverse iteration (scipy's eigh_tridiagonal, imported on the first solve)
+give the lowest k eigenpairs on a coarse mesh of 64 points per level.
+Interpolated onto N, each vector is polished there at its coarse value until
+the Rayleigh quotient settles; the last solve's residual gives each level an
+interval, and disjoint intervals with a Sturm count of exactly k below the top
+one certify the lowest k levels on N.  Should the coarse mesh fail or the
+certificate not hold, LAPACK solves on N itself.  One solve from each N vector,
+interpolated onto 2N and shifted at the N value, gives the one on 2N.  Each
+eigenvalue is its vector's Rayleigh quotient in energy form.
 
 Each operator is solved in reduced units, hbar = omega = 1 (the angular ones
 see the couplings only as c_i / hbar^2 and lam_i / hbar^2), so the solver
@@ -45,11 +42,9 @@ from .params import ModelParams
 from .specfun import delta_exponents, exp_cutoff
 
 ENVELOPE_CUT = 1e-14
-BRACKET_WIDTH = 0.1     # tau in box levels (pi / (x_max - x_min))^2: rescales exactly
 POLISH_RTOL = 1e-13     # settled: |change of Rayleigh quotient| <= this * its magnitude
 POLISH_SOLVES = 8
-COARSE_POINTS = 64      # points per level of the mesh the levels are bracketed on
-START_SEED = 0
+COARSE_POINTS = 64      # points per level of the mesh the levels are first solved on
 CONV_TOL = 1e-3         # bound on the relative Richardson delta |richardson - fine|
 
 
@@ -123,74 +118,20 @@ def _rayleigh(z: np.ndarray, v: np.ndarray, h: float) -> tuple[float, float]:
     return (kinetic + potential) / norm, (kinetic + abs(potential)) / norm
 
 
-def _polish(diag, off, v, h, shift: float, z: np.ndarray):
-    """Inverse iteration at the fixed shift from z until the Rayleigh quotient
-    settles, in at most POLISH_SOLVES solves.
-
-    Returns (settled, rho, last, z, residual): the last two Rayleigh quotients,
-    the unit iterate z and ||(T - shift) z|| = ||x|| / ||y|| of the last solve
-    y = (T - shift)^-1 x.  x is the previous unit iterate, since the quotient
-    cannot settle on the first solve.
-    """
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
-    factors = dgttrf(off, diag - shift, off, overwrite_d=1)[:5]
-    rho = math.inf
-    for _ in range(POLISH_SOLVES):
-        z = dgttrs(*factors, z)[0]
-        norm = math.sqrt(z @ z)
-        z /= norm
-        last, (rho, scale) = rho, _rayleigh(z, v, h)
-        if abs(rho - last) <= POLISH_RTOL * scale:
-            return True, rho, last, z, 1.0 / norm
-    return False, rho, last, z, math.inf
-
-
 def _eigenpairs(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenvalues on mesh n and their eigenvectors (one row each).
-
-    Bisection to width tau brackets each level: the Sturm counts fix its
-    index, and midpoints more than 2 tau apart give disjoint brackets.
-    Inverse iteration at the fixed shift of the midpoint, from one seeded
-    random start shared by all levels, then runs until the Rayleigh quotient
-    settles, which must happen inside the level's own bracket.
-    """
+    """Lowest k eigenvalues on mesh n and their eigenvectors (one row each):
+    LAPACK bisection and inverse iteration (dstebz, dstein), each value then
+    taken as its vector's Rayleigh quotient in energy form."""
     from scipy.linalg import eigh_tridiagonal
 
     if not 1 <= k <= n:
         raise ValueError(f"cannot resolve {k} levels on mesh {n}: need 1 <= levels <= mesh")
     diag, off, v, h = _tridiagonal(problem, n)
-    tau = BRACKET_WIDTH * (math.pi / (problem.domain[1] - problem.domain[0])) ** 2
-    mid = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, k - 1), eigvals_only=True, tol=tau
-    )
-    apart = np.diff(mid) > 2.0 * tau
-    if not np.all(apart):
-        j = int(np.argmin(apart)) + 1
-        raise ConvergenceFailure(
-            f"level {j}: bracket midpoint {mid[j]:.16g} lies within 2 tau of level "
-            f"{j - 1}'s {mid[j - 1]:.16g} (tau = {tau:.6g}) on mesh {n}"
-        )
-    start = np.random.default_rng(START_SEED).standard_normal(n)
-    values = np.empty(k)
-    vectors = np.empty((k, n))
-    for j, shift in enumerate(mid):
-        settled, rho, last, z, _ = _polish(diag, off, v, h, shift, start)
-        if not settled:
-            raise ConvergenceFailure(
-                f"level {j}: Rayleigh quotient did not settle in {POLISH_SOLVES} solves "
-                f"(last {last:.16g}, then {rho:.16g}); shifted at bracket midpoint "
-                f"{shift:.16g}, start seed {START_SEED}, on mesh {n}"
-            )
-        if not abs(rho - shift) <= tau:
-            raise ConvergenceFailure(
-                f"level {j}: Rayleigh quotient {rho:.16g} left its bracket "
-                f"[{shift - tau:.16g}, {shift + tau:.16g}]; start seed {START_SEED}, "
-                f"on mesh {n}"
-            )
-        values[j] = rho
-        vectors[j] = z
-    return values, vectors
+    try:
+        vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[1].T
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"lowest {k} levels on mesh {n}: LAPACK failed: {exc}") from exc
+    return np.array([_rayleigh(z, v, h)[0] for z in vectors]), vectors
 
 
 def _interpolate(vectors: np.ndarray, n: int) -> np.ndarray:
@@ -210,17 +151,19 @@ def _interpolate(vectors: np.ndarray, n: int) -> np.ndarray:
 def _lift(
     problem: SturmLiouvilleProblem, coarse: np.ndarray, vectors: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The coarse eigenpairs polished on mesh n, each shifted at its coarse
-    value and started from its interpolated eigenvector, or None unless they
-    are certified as the lowest len(coarse) levels of mesh n in order.
+    """The coarse eigenpairs polished on mesh n, or None unless they are
+    certified as the lowest len(coarse) levels of mesh n in order.
 
-    The last solve bounds ||(T - rho) z|| <= ||(T - shift) z||, so each
-    interval rho_j +- radius_j (plus rounding slack 4 eps ||T||) holds an
-    eigenvalue.  Pairwise disjoint intervals hold distinct ones, and a Sturm
-    count of exactly k below the top of the last interval (and above
-    min V - 1, under the spectrum) makes them the lowest k.
+    Each level runs inverse iteration at the fixed shift of its coarse value,
+    from its interpolated eigenvector, until the Rayleigh quotient settles in
+    at most POLISH_SOLVES solves.  The last solve y = (T - shift)^-1 x, x the
+    previous unit iterate, bounds ||(T - rho) z|| <= ||(T - shift) z|| =
+    ||x|| / ||y||, so each interval rho_j +- radius_j (plus rounding slack
+    4 eps ||T||) holds an eigenvalue.  Pairwise disjoint intervals hold
+    distinct ones, and a Sturm count of exactly k below the top of the last
+    interval (and above min V - 1, under the spectrum) makes them the lowest k.
     """
-    from scipy.linalg.lapack import dstebz
+    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
     k = len(coarse)
     diag, off, v, h = _tridiagonal(problem, n)
@@ -228,11 +171,18 @@ def _lift(
     values, radius = np.empty(k), np.empty(k)
     lifted = _interpolate(vectors, n)
     for j, shift in enumerate(coarse):
-        settled, values[j], _, lifted[j], residual = _polish(
-            diag, off, v, h, shift, lifted[j])
-        if not settled:
+        factors = dgttrf(off, diag - shift, off, overwrite_d=1)[:5]
+        z, rho = lifted[j], math.inf
+        for _ in range(POLISH_SOLVES):
+            z = dgttrs(*factors, z)[0]
+            norm = math.sqrt(z @ z)
+            z /= norm
+            last, (rho, scale) = rho, _rayleigh(z, v, h)
+            if abs(rho - last) <= POLISH_RTOL * scale:
+                break
+        else:
             return None
-        radius[j] = residual + slack
+        values[j], lifted[j], radius[j] = rho, z, 1.0 / norm + slack
     if not np.all(values[1:] - radius[1:] > values[:-1] + radius[:-1]):
         return None
     lower, upper = float(np.min(v)) - 1.0, values[-1] + radius[-1]
@@ -241,10 +191,10 @@ def _lift(
 
 
 def _levels(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs on mesh n.  `_eigenpairs` brackets and polishes
-    them on COARSE_POINTS * k points, and `_lift` carries them onto mesh n.
-    If the coarse mesh fails or the lift is not certified, `_eigenpairs`
-    runs on mesh n itself."""
+    """Lowest k eigenpairs on mesh n.  `_eigenpairs` solves for them on
+    COARSE_POINTS * k points, and `_lift` carries them onto mesh n.  If the
+    coarse mesh fails or the lift is not certified, `_eigenpairs` runs on
+    mesh n itself."""
     m = COARSE_POINTS * k
     if 0 < m < n:
         try:

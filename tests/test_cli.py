@@ -124,7 +124,8 @@ class TestVerifyCommands:
             code, env = run_json(["verify", "algebra", "--p", str(p), *sector], capsys)
             assert code == 0
             measured[p] = {c["name"]: c["measured"] for c in env["checks"]}
-        for name in ("first_commutation_relation", "casimir_centrality"):
+        for name in ("first_commutation_relation", "second_commutation_relation",
+                     "casimir_centrality"):
             assert 0.0 < measured[100000][name] <= 10.0 * measured[100][name], (name, measured)
 
     def test_algebra_q3_rounding_extras(self, capsys):
@@ -154,6 +155,19 @@ class TestVerifyCommands:
                      "--Lambda", "0", "--levels", "3", "--mesh", "10"])
         capsys.readouterr()
         assert code == 3
+
+    def test_lapack_failure_exit_3(self, capsys, monkeypatch):
+        import scipy.linalg
+
+        def failed(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("eigenvectors failed to converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failed)
+        code = main(["verify", "ode", "--picture", "kepler-radial", "--levels", "3",
+                     "--mesh", "2000"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "mesh 2000" in err and "failed to converge" in err
 
     def test_failed_checks_exit_4(self, capsys, monkeypatch):
         import monopole_spectra.cli as cli_mod

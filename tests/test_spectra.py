@@ -277,8 +277,8 @@ class TestExactScaling8D:
 
 
 def bisection(problem, k, n):
-    """Lowest k eigenvalues on mesh n by full-precision bisection: an
-    independent reference for the bracket-and-polish path."""
+    """Lowest k eigenvalues on mesh n by full-precision bisection alone: an
+    independent reference for the solve-and-lift path."""
     from scipy.linalg import eigh_tridiagonal
 
     diag, off, _, _ = spectra._tridiagonal(problem, n)
@@ -287,10 +287,9 @@ def bisection(problem, k, n):
 
 
 class TestRefinement:
-    """Each Richardson pair brackets the levels by a loose bisection on a
-    coarse mesh; inverse iteration plus a Rayleigh quotient gives the values
-    on N and, seeded by the N eigenpairs, on 2N.  Both must agree with full
-    bisection."""
+    """Each Richardson pair takes its coarse eigenpairs from LAPACK; inverse
+    iteration plus a Rayleigh quotient gives the values on N and, seeded by
+    the N eigenpairs, on 2N.  Both must agree with full bisection."""
 
     P = ModelParams(1.0, 0.7, 0.3)
     PICTURES = {
@@ -365,8 +364,8 @@ class TestRefinement:
     def misdirect(monkeypatch, level, solve):
         """Make every inverse-iteration solve of `level` return solve(vectors),
         vectors[j] being level j's last unit iterate on the same mesh.  Levels
-        are counted by factorizations, one per level, on each mesh apart, so
-        the level fails on the bracketing mesh and again on mesh N."""
+        are counted by factorizations, one per level, on each mesh apart;
+        only the lift onto mesh N factorizes."""
         import scipy.linalg.lapack as lapack
 
         real_trf, real_trs = lapack.dgttrf, lapack.dgttrs
@@ -386,22 +385,18 @@ class TestRefinement:
 
         monkeypatch.setattr(lapack, "dgttrf", trf)
         monkeypatch.setattr(lapack, "dgttrs", trs)
+        return meshes
 
-    def test_inverse_iteration_failure_names_level_and_meshes(self, monkeypatch):
+    def test_unsettled_lift_falls_back_to_mesh_n(self, monkeypatch):
         rng = np.random.default_rng(7)
-        self.misdirect(monkeypatch, 1, lambda vectors: rng.standard_normal(vectors[0].size))
-        with pytest.raises(ConvergenceFailure,
-                           match=r"level 1: Rayleigh quotient did not settle in 8 solves "
-                                 r"\(last [-\d.e]+, then [-\d.e]+\); shifted at bracket "
-                                 r"midpoint [\d.]+, start seed 0, on mesh 500$"):
-            cylindrical_spectrum(0.0, 0.0, 1.0, k=3, mesh=500)
-
-    def test_polish_onto_a_lower_level_leaves_its_bracket(self, monkeypatch):
-        self.misdirect(monkeypatch, 2, lambda vectors: vectors[1].copy())
-        with pytest.raises(ConvergenceFailure,
-                           match=r"level 2: Rayleigh quotient [\d.]+ left its bracket "
-                                 r"\[[\d.]+, [\d.]+\]; start seed 0, on mesh 500$"):
-            cylindrical_spectrum(0.0, 0.0, 1.0, k=3, mesh=500)
+        meshes = self.misdirect(monkeypatch, 1,
+                                lambda vectors: rng.standard_normal(vectors[0].size))
+        prob = SturmLiouvilleProblem(domain=(0.0, math.pi), mesh_size=500)
+        values, vectors = spectra._levels(prob, 3, 500)
+        assert list(meshes) == [500] and len(meshes[500]) == 2
+        want_values, want_vectors = spectra._eigenpairs(prob, 3, 500)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(vectors, want_vectors)
 
     def test_refinement_onto_a_lower_level_names_it(self, monkeypatch):
         import scipy.linalg.lapack as lapack
@@ -421,19 +416,11 @@ class TestRefinement:
                                  r"on meshes \(500, 1000\)$"):
             cylindrical_spectrum(0.0, 0.0, 1.0, k=3, mesh=500)
 
-    def test_overlapping_brackets_name_level_and_width(self, monkeypatch):
-        monkeypatch.setattr(spectra, "BRACKET_WIDTH", 100.0)
-        prob = SturmLiouvilleProblem(domain=(0.0, math.pi), mesh_size=500)
-        with pytest.raises(ConvergenceFailure,
-                           match=r"level 1: bracket midpoint [\d.]+ lies within 2 tau of "
-                                 r"level 0's [\d.]+ \(tau = 100\) on mesh 500$"):
-            solve_lowest(prob, 3)
-
 
 class TestCoarseBracket:
-    """The levels are bracketed and polished on COARSE_POINTS points per
-    level, then lifted onto mesh N under a Sturm-count certificate; mesh N
-    is bracketed itself only when the lift is not certified."""
+    """LAPACK solves for the levels on COARSE_POINTS points per level; they
+    are lifted onto mesh N under a Sturm-count certificate, and LAPACK solves
+    on mesh N itself only when the lift is not certified."""
 
     @pytest.mark.parametrize("picture", [p for p in TestRefinement.PICTURES if p != "parabolic"])
     @pytest.mark.parametrize("mesh", [2000, 4000, 8000])
