@@ -9,16 +9,20 @@ The printed closed forms set hbar = 1 inside the structure function; the
 master spectrum `energy_level` is hbar-explicit.  Substituting the rescaled
 energy hbar^2*E for the energy scalar reproduces the hbar = 1 forms exactly,
 which is what `solve_unirrep` does internally.
+
+numpy is imported only inside the functions that build arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NegativeRadicand, NonNegativeEnergy, PositivityViolation
 from .params import AuxExponents, ModelParams, QuantumNumbers, So6Labels
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ratio of the leading coefficients of the two structure-function forms:
 # 98304 from the raw prefactor times 4*16 from the two bracket factors
@@ -85,6 +89,8 @@ def structure_function_raw(x, u: float, E: float, params: ModelParams, qn: Quant
 
 def factored_roots(E: float, m: AuxExponents, params: ModelParams) -> np.ndarray:
     """The six roots of the factored structure function, in the x+u variable."""
+    import numpy as np
+
     if E >= 0:
         raise NonNegativeEnergy(f"factored form requires E < 0, got {E}")
     r = params.c0 / math.sqrt(-2.0 * E)
@@ -109,6 +115,8 @@ def structure_function_factored(
     Negative on the interior of a valid representation: the raw form equals
     RAW_TO_FACTORED_SCALE * E times this one.
     """
+    import numpy as np
+
     s = x + u
     return float(np.prod(s - factored_roots(E, m, params)))
 
@@ -149,6 +157,8 @@ def solve_unirrep(
     `energy_level`.  The other pairings (1..3) use the remaining roots for u;
     they are provided for exhaustive searches and fail the positivity check.
     """
+    import numpy as np
+
     if p < 0:
         raise ValueError(f"p must be a non-negative integer, got {p}")
     m = aux_exponents(params, qn)
@@ -218,6 +228,8 @@ def raw_polynomial_coefficients(
     """Coefficients (ascending) of the raw form as a polynomial in x,
     recovered by interpolation at seven nodes; exact for a degree-6
     polynomial up to rounding."""
+    import numpy as np
+
     xs = np.linspace(-3.0, 3.0, 7)
     ys = [structure_function_raw(x, u, E, params, qn) for x in xs]
     return np.polynomial.polynomial.polyfit(xs, ys, 6)

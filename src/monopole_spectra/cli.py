@@ -24,6 +24,13 @@ explicit command-line flags take precedence.  Config values are typed and
 checked like flags: cast by the declared type, checked against the declared
 choices and bound, and every number must be finite.  A flag or key that the
 command, or its chosen picture, does not read exits 2 and is named.
+
+Each command imports only the modules it runs.  At module level this file
+imports the standard library and the numpy-free modules (`algebra`,
+`duality`, `specfun`, `params`, `errors`); numpy, `spectra` (and with it
+scipy) and `fock` are imported inside the functions that use them.  So the
+`spectrum` commands, which are pure arithmetic, load neither numpy nor scipy;
+`verify ode` alone loads `spectra`, and `verify algebra` alone loads `fock`.
 """
 from __future__ import annotations
 
@@ -35,13 +42,14 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from . import __version__, algebra, duality, specfun, spectra
+from . import __version__, algebra, duality, specfun
 from .errors import ConvergenceFailure, MonopoleSpectraError
 from .params import ModelParams, QuantumNumbers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -58,6 +66,8 @@ IDENTITY_RTOL = 1e-12
 def relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
     """Per-level |got-want| / |want|, except that levels whose oracle is
     negligible against the spectrum are scaled by the spectrum magnitude."""
+    import numpy as np
+
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
     spectrum = float(np.max(np.abs(want))) if want.size else 1.0
@@ -179,7 +189,8 @@ J_L = [Param("J", float, 0.0), Param("L", float, 0.0)]  # 5D picture labels
 T_K = [T, Param("K", float, 0.0)]                 # 8D picture labels
 SECTOR = [Param("z", float, 0.0), Param("lam_coupling", float, 0.0)]
 MESH = Param("mesh", int, 2000)
-SOLVE = [Param("levels", int, 3, above=0), MESH]
+LEVELS = Param("levels", int, 3, above=0)
+SOLVE = [LEVELS, MESH]
 LAM = Param("lam", int, 1)
 LAM_EFF = Param("lam_eff", float, 0.0)
 POINTS = Param("points", int, 2001)
@@ -232,7 +243,7 @@ def spectrum_osc8d(v: dict) -> tuple[list, list]:
     d = specfun.delta_exponents("oscillator", (v["lambda1"], v["lambda2"]), T, K, hbar)
     base = 0.5 * (T + K + d.delta1 + d.delta2)
     results = []
-    for s in range(max(v["levels"], 0)):
+    for s in range(v["levels"]):
         eps = 2.0 * hbar * omega * (s + base + 2.0)
         results.append(row({"n_plus_m": s}, eps, degeneracy=s + 1))
     return results, []
@@ -264,7 +275,7 @@ def verify_algebra(v: dict) -> tuple[list, list]:
         # (1.4 at p = 100, 1.5 at p = 12000 on c = (0.5, 0.5), l4 = 1, T = 0.5)
         check("second_commutation_relation", rpt.residual_q3, ALGEBRA_RTOL,
               "closure of [B,C] against -2B^2 + 8HA + const, calibrated rho",
-              dim=rep.dim, q3_per_eps=rpt.residual_q3 / np.finfo(float).eps),
+              dim=rep.dim, q3_per_eps=rpt.residual_q3 / sys.float_info.epsilon),
         check("rho_calibration_is_unity", abs(rpt.rho_calibration - 1.0), 1e-8,
               "fitted off-diagonal rescale"),
         check("casimir_centrality", rpt.casimir_offdiag, ALGEBRA_RTOL,
@@ -275,13 +286,20 @@ def verify_algebra(v: dict) -> tuple[list, list]:
     return results, checks
 
 
-def _solved(v: dict, spectrum: Callable, oracle: Callable, *args) -> tuple:
-    """Richardson-extrapolated and closed-form lowest `levels` of one picture."""
-    return (spectrum(*args, v["levels"], v["mesh"]).richardson,
-            oracle(*args, v["levels"]))
+def _solved(v: dict, stem: str, *args) -> tuple:
+    """Richardson-extrapolated and closed-form lowest `levels` of one picture:
+    `spectra.<stem>_spectrum` and `spectra.<stem>_oracle` at args."""
+    from . import spectra
+
+    return (getattr(spectra, f"{stem}_spectrum")(*args, v["levels"], v["mesh"]).richardson,
+            getattr(spectra, f"{stem}_oracle")(*args, v["levels"]))
 
 
 def _parabolic_levels(v: dict) -> tuple:
+    import numpy as np
+
+    from . import spectra
+
     params = model(v)
     levels = spectra.parabolic_quantization(
         v["J"], v["L"], params, n_max=v["n_max"], mesh=v["mesh"])
@@ -296,31 +314,28 @@ def ode_report(picture: str, levels: tuple) -> tuple[list, list]:
         row({"level": i}, float(g), float(w), rel_scaled=float(r))
         for i, (g, w, r) in enumerate(zip(got, want, rels))
     ]
-    return results, [check(f"{picture}_vs_oracle", float(np.max(rels)), ODE_RTOL,
+    return results, [check(f"{picture}_vs_oracle", float(rels.max()), ODE_RTOL,
                            "closed-form spectrum")]
 
 
 ODE = Pictures({
     "kepler-radial": ([Param("Lambda", float, 0.0), C0, HBAR, *SOLVE], lambda v: _solved(
-        v, spectra.kepler_radial_spectrum, spectra.kepler_radial_oracle,
-        v["Lambda"], model(v))),
+        v, "kepler_radial", v["Lambda"], model(v))),
     "kepler-angular": ([*J_L, *COUPLINGS, HBAR, *SOLVE], lambda v: _solved(
-        v, spectra.kepler_angular_spectrum, spectra.kepler_angular_oracle,
-        v["J"], v["L"], model(v))),
+        v, "kepler_angular", v["J"], v["L"], model(v))),
     "osc-radial": ([Param("Gamma", float, 0.0), OMEGA, HBAR, *SOLVE], lambda v: _solved(
-        v, spectra.oscillator_radial_spectrum, spectra.oscillator_radial_oracle,
-        v["Gamma"], v["omega"], v["hbar"])),
+        v, "oscillator_radial", v["Gamma"], v["omega"], v["hbar"])),
     "osc-angular": ([*T_K, *LAMBDAS, HBAR, *SOLVE], lambda v: _solved(
-        v, spectra.oscillator_angular_spectrum, spectra.oscillator_angular_oracle,
-        v["T"], v["K"], v["lambda1"], v["lambda2"], v["hbar"])),
+        v, "oscillator_angular", v["T"], v["K"], v["lambda1"], v["lambda2"], v["hbar"])),
     "cylindrical": ([*SECTOR, OMEGA, HBAR, *SOLVE], lambda v: _solved(
-        v, spectra.cylindrical_spectrum, spectra.cylindrical_oracle,
-        v["z"], v["lam_coupling"], v["omega"], v["hbar"])),
+        v, "cylindrical", v["z"], v["lam_coupling"], v["omega"], v["hbar"])),
     "parabolic": ([*J_L, *MODEL, MESH, Param("n_max", int, 2, above=-1)], _parabolic_levels),
 }, ode_report)
 
 
 def verify_duality(v: dict) -> tuple[list, list]:
+    import numpy as np
+
     grid = v["grid"]
     n_sample = 10_000 if grid == "full" else 1_000
     rng = np.random.default_rng(v["seed"])
@@ -404,7 +419,7 @@ RESIDUALS = Pictures({
 COMMANDS = {
     "spectrum": {
         "kepler5d": ([*MODEL, *L4_T, Param("p_max", int, 3), *J_L], spectrum_kepler5d),
-        "osc8d": ([OMEGA, HBAR, *LAMBDAS, *T_K, Param("levels", int, 3)], spectrum_osc8d),
+        "osc8d": ([OMEGA, HBAR, *LAMBDAS, *T_K, LEVELS], spectrum_osc8d),
     },
     "verify": {
         "algebra": ([Param("p", int, 4), *MODEL, *L4_T], verify_algebra),

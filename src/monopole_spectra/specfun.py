@@ -7,16 +7,20 @@ the grid (default 5% per end, at least the stencil width) is excluded from
 the max: the closed forms carry fractional powers of the coordinate at the
 singular endpoints, where high derivatives grow fast enough that no fixed
 point-count margin converges under refinement.
+
+numpy is imported only inside the functions that build arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParameterPole
 from .params import ModelParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MARGIN_FRACTION = 0.05
 # interior points a residual grid keeps at least: a lone interior point can
@@ -124,6 +128,8 @@ def _margin(n_points: int, margin_frac: float) -> int:
 def _grid(lo: float, hi: float, n_points: int, margin_frac: float) -> tuple[np.ndarray, float]:
     """Uniform residual grid and its spacing; the margin must leave at least
     MIN_INTERIOR points (at the default margin, at least 13 grid points)."""
+    import numpy as np
+
     m = _margin(n_points, margin_frac)
     if n_points < 2 * m + MIN_INTERIOR:
         raise ValueError(
@@ -170,6 +176,8 @@ def angular_residual(
     lam counts z1+z2 plus the Jacobi degree; raises DomainError when the
     implied degree lam - z1 - z2 is not a non-negative integer.
     """
+    import numpy as np
+
     mf = lam - z1 - z2
     m = round(mf)
     if mf < -1e-9 or abs(mf - m) > 1e-9:
@@ -227,6 +235,8 @@ def kepler_radial_residual(
     lam_eff is the effective angular exponent (the separation constant is
     lam_eff*(lam_eff+3)).
     """
+    import numpy as np
+
     hb2 = params.hbar ** 2
     kappa = 2.0 * params.c0 / (hb2 * (n + lam_eff + 2.0))
     energy = -(kappa ** 2) * hb2 / 8.0
@@ -257,6 +267,8 @@ def oscillator_radial_residual(
     margin_frac: float = MARGIN_FRACTION,
 ) -> float:
     """Residual of the 8D radial equation; Gamma = 4*lam_eff*(lam_eff+3)."""
+    import numpy as np
+
     kappa = omega / hbar
     eps = 2.0 * hbar * omega * (n + lam_eff + 2.0)
     u_hi = math.sqrt(exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT))
@@ -306,6 +318,8 @@ def parabolic_residual(
     margin_frac: float = MARGIN_FRACTION,
 ) -> float:
     """Residual of one parabolic-coordinate equation ("mu" or "nu")."""
+    import numpy as np
+
     hb2 = params.hbar ** 2
     if sector == "mu":
         sep = 0.5 * params.hbar * lam_tilde
@@ -345,6 +359,8 @@ def cylindrical_residual(
     margin_frac: float = MARGIN_FRACTION,
 ) -> float:
     """Residual of one 4D-factor equation in the dimensionless variable."""
+    import numpy as np
+
     d = -1.0 + math.sqrt(2.0 * coupling / hbar ** 2 + (2.0 * z + 1.0) ** 2) - z
     a = 0.5 * (d + z)
     e = n + 0.5 * (d + z + 2.0)

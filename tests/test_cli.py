@@ -10,7 +10,9 @@ import pytest
 
 from monopole_spectra.cli import main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+BENCH = str(ROOT / "bench")
 
 
 def run(argv, capsys):
@@ -254,9 +256,15 @@ class TestInputBoundary:
         assert "J and L" in capsys.readouterr().err
 
     def test_zero_levels_exit_2(self, capsys):
-        code = main(["verify", "ode", "--picture", "kepler-radial", "--levels", "0"])
-        assert code == 2
-        assert "levels" in capsys.readouterr().err
+        # one `levels` declaration: spectrum osc8d rejects what verify ode does
+        for argv in (["verify", "ode", "--picture", "kepler-radial", "--levels", "0"],
+                     ["spectrum", "osc8d", "--levels", "0"],
+                     ["spectrum", "osc8d", "--levels", "-2"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == ""
+            assert "levels" in captured.err, argv
 
 
 class TestCoulombPicturesThroughOscillator:
@@ -277,14 +285,62 @@ class TestCoulombPicturesThroughOscillator:
         assert env["checks"][0]["passed"]
 
 
-def test_cli_import_does_not_load_scipy():
-    """Closed-form commands never solve an ODE, so importing the CLI must
-    not pay for scipy; it is imported on the first eigensolve."""
-    code = "import sys, monopole_spectra.cli; print('scipy' in sys.modules)"
+def fresh(code: str) -> list[str]:
+    """Lines that `code` prints in a fresh interpreter importing the package from src."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+LOADED = "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+
+
+def test_cli_import_does_not_load_scipy():
+    """The `spectrum` commands are pure arithmetic: importing the package or
+    the CLI, or running a README `spectrum` line as `python -m
+    monopole_spectra`, loads neither numpy nor scipy.  scipy is imported on
+    the first eigensolve."""
+    for module in ("monopole_spectra", "monopole_spectra.cli"):
+        assert fresh(f"import sys, {module}; {LOADED}") == ["[]"], module
+    spectrum = [argv for argv in readme_cli_commands() if argv[0] == "spectrum"]
+    assert [argv[1] for argv in spectrum] == ["kepler5d", "osc8d"]
+    for argv in spectrum:
+        out = fresh(f"import runpy, sys\nsys.argv = ['monopole_spectra', *{argv!r}]\n"
+                    "try:\n    runpy.run_module('monopole_spectra', run_name='__main__',"
+                    " alter_sys=True)\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
+                    + LOADED)
+        assert json.loads("\n".join(out[:-1]))["results"], argv
+        assert out[-1] == "[]", argv
+
+
+# every name the package exports at top level
+PUBLIC = """
+    RAW_TO_FACTORED_SCALE UnirrepSolution aux_exponents degeneracy_count energy_level
+    factored_roots solve_unirrep so6_casimir_eigenvalues structure_function_factored
+    structure_function_raw ycm_energy kepler_from_oscillator oscillator_from_kepler
+    spectrum_identity_check AlgebraReport DeformedOscillatorRep GeneratorMatrices
+    build_generators build_rep casimir_check verify_algebra AuxExponents ModelParams
+    QuantumNumbers So6Labels DeltaExponents delta_exponents jacobi_p kummer_poly
+    EigenResult SturmLiouvilleProblem cylindrical_spectrum kepler_angular_spectrum
+    kepler_radial_spectrum oscillator_angular_spectrum oscillator_radial_spectrum
+    parabolic_quantization
+""".split()
+
+
+def test_layers_resolve_by_attribute():
+    """`bench/tracing.py` reaches each layer as getattr(package, layer),
+    possibly before anything imported it, so that call must import the
+    submodule; and every public name imports from the package."""
+    out = fresh(f"import sys; sys.path.insert(0, {BENCH!r})\n"
+                "import monopole_spectra as pkg\n"
+                "from tracing import LAYER_FUNCTIONS\n"
+                "for layer, names in LAYER_FUNCTIONS.items():\n"
+                "    module = getattr(pkg, layer)\n"
+                "    assert module.__name__ == 'monopole_spectra.' + layer, module\n"
+                "    assert all(callable(getattr(module, n)) for n in names), layer\n"
+                f"from monopole_spectra import {', '.join(PUBLIC)}\n"
+                "print(hasattr(pkg, 'no_such_name'))")
+    assert out == ["False"]
 
 
 def config_file(tmp_path, text):
@@ -408,7 +464,7 @@ class TestParameterTables:
 
 
 def readme_cli_commands():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (ROOT / "README.md").read_text()
     section = text.split("\n## CLI\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     return [line.split()[1:] for line in block.splitlines()

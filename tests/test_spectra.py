@@ -286,10 +286,25 @@ def bisection(problem, k, n):
                             eigvals_only=True, tol=0)
 
 
+def reference(problem, k, n):
+    """Lowest k eigenvalues on mesh n, each the energy-form Rayleigh quotient
+    (sum (dz)^2 + z_0^2 + z_{n-1}^2)/h^2 + sum V z^2 over sum z^2 of its
+    LAPACK eigenvector on mesh n itself.  Unlike bisection's values, which
+    are exact only to eps * ||T||, these are exact to rounding relative to
+    each level: a tight reference for the solve-and-lift path."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off, v, h = spectra._tridiagonal(problem, n)
+    z = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[1]
+    kinetic = (np.sum(np.diff(z, axis=0) ** 2, axis=0) + z[0] ** 2 + z[-1] ** 2) / h ** 2
+    return (kinetic + v @ z ** 2) / np.sum(z ** 2, axis=0)
+
+
 class TestRefinement:
     """Each Richardson pair takes its coarse eigenpairs from LAPACK; inverse
     iteration plus a Rayleigh quotient gives the values on N and, seeded by
-    the N eigenpairs, on 2N.  Both must agree with full bisection."""
+    the N eigenpairs, on 2N.  Both must agree with the Rayleigh quotients of
+    LAPACK's eigenvectors on the same mesh to rounding."""
 
     P = ModelParams(1.0, 0.7, 0.3)
     PICTURES = {
@@ -327,15 +342,15 @@ class TestRefinement:
         solves = self.solves(monkeypatch, lambda: self.PICTURES[picture](k, mesh))
         for problem, levels, _ in solves:
             np.testing.assert_allclose(solve_lowest(problem, levels),
-                                       bisection(problem, levels, problem.mesh_size),
-                                       rtol=1e-8, atol=0)
+                                       reference(problem, levels, problem.mesh_size),
+                                       rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("picture, k, mesh", GRID)
     def test_fine_values_match_bisection(self, picture, k, mesh, monkeypatch):
         solves = self.solves(monkeypatch, lambda: self.PICTURES[picture](k, mesh))
         for problem, levels, res in solves:
-            want = bisection(problem, levels, 2 * problem.mesh_size)
-            np.testing.assert_allclose(res.eigenvalues, want, rtol=1e-8, atol=0)
+            want = reference(problem, levels, 2 * problem.mesh_size)
+            np.testing.assert_allclose(res.eigenvalues, want, rtol=1e-12, atol=0)
 
     def test_box_end_terms(self):
         """A particle in a box keeps O(1/N) of each level in the z_0^2 and
