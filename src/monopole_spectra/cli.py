@@ -16,8 +16,10 @@ echoes every resolved input of the command or picture, result rows carry
 {labels, value, oracle, abs_diff, rel_diff} (plus row-specific extras), and
 every check records its tolerance and oracle identity.
 
-Exit codes: 0 success, 2 invalid input, 3 convergence failure, 4 invariant
-violation (including failed verification checks).
+Exit codes: 0 success, 2 invalid input (also inputs whose arithmetic leaves
+the floating-point range), 3 convergence failure or a check that measured a
+non-finite value (no verdict), 4 invariant violation (including failed
+verification checks).
 
 A plain-text config file of `key = value` lines can be passed via --config;
 explicit command-line flags take precedence.  Config values are typed and
@@ -341,15 +343,12 @@ def verify_duality(v: dict) -> tuple[list, list]:
     rng = np.random.default_rng(v["seed"])
     eps, om, l1, l2 = (rng.uniform(lo, hi, n_sample)
                        for lo, hi in ((0.1, 50.0), (0.05, 20.0), (0.0, 10.0), (0.0, 10.0)))
-    c0, en, c1, c2 = eps / 4.0, -(om ** 2) / 8.0, l1 / 2.0, l2 / 2.0
-    eps2, om2 = 4.0 * c0, np.sqrt(-8.0 * en)
-    ulps = np.concatenate([
-        np.abs(eps2 - eps) / np.spacing(np.abs(eps)),
-        np.abs(om2 - om) / np.spacing(np.abs(om)),
-        np.abs(2.0 * c1 - l1) / np.maximum(np.spacing(np.abs(l1)), 1e-300),
-        np.abs(2.0 * c2 - l2) / np.maximum(np.spacing(np.abs(l2)), 1e-300),
-    ])
-    roundtrip_ulp = float(np.max(ulps))
+    # each sampled 8D level goes to its 5D dual and back through the package's maps
+    roundtrip_ulp = 0.0
+    for sample in zip(eps.tolist(), om.tolist(), l1.tolist(), l2.tolist()):
+        back = duality.oscillator_from_kepler(*duality.kepler_from_oscillator(*sample))
+        roundtrip_ulp = max(roundtrip_ulp, *(
+            abs(b - s) / max(math.ulp(s), 1e-300) for b, s in zip(back, sample)))
 
     couplings = [0.0, 0.5, 1.5] if grid == "full" else [0.0, 0.5]
     nmax = 5 if grid == "full" else 2
@@ -497,10 +496,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad input, 0 on --help/--version
         return int(exc.code or 0)
+    label = f"{args.group} {args.name}"
     try:
         cfg = load_config(args.config) if args.config else {}
         entry = COMMANDS[args.group][args.name]
-        label = f"{args.group} {args.name}"
         if isinstance(entry, Pictures):
             picture = resolve(entry.picture, args, cfg)
             decls, run = entry.plan(picture)
@@ -514,6 +513,11 @@ def main(argv: list[str] | None = None) -> int:
         values = {p.name: resolve(p, args, cfg) for p in decls}
         fmt, out = (resolve(p, args, cfg) for p in OUTPUT)
         results, checks = run(values)
+        undecided = [c["name"] for c in checks if not math.isfinite(c["measured"])]
+        if undecided:
+            print(f"error: {label}: {', '.join(undecided)} measured a non-finite value, "
+                  "so no verdict", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
         emit({
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -528,6 +532,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ArithmeticError as exc:
+        print(f"error: {label}: the inputs leave the floating-point range "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_INVALID
     except MonopoleSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import aux_exponents
+from .algebra import aux_exponents, energy_level
 from .errors import NegativeRadicand, NonNegativeEnergy
-from .params import ModelParams, QuantumNumbers
+from .params import AuxExponents, ModelParams, QuantumNumbers
 from .specfun import delta_exponents
 
 
@@ -52,11 +52,6 @@ class IdentityReport:
     rel_diff: float
 
 
-def _alg_energy(p: float, d1: float, d2: float, params: ModelParams) -> float:
-    denom = p + 1.0 + 0.5 * (d1 + d2)
-    return -params.c0 ** 2 / (2.0 * params.hbar ** 2 * denom ** 2)
-
-
 def spectrum_identity_check(
     picture: str, labels: dict, params: ModelParams, omega: float = 1.0
 ) -> IdentityReport:
@@ -75,14 +70,12 @@ def spectrum_identity_check(
         dbar = 0.5 * (d.delta1 + d.delta2)
         e_pic = -params.c0 ** 2 / (2.0 * hb ** 2 * (n + lam + 2.0 + dbar) ** 2)
         p = n + lam + 1.0
-        e_alg = _alg_energy(p, d.delta1, d.delta2, params)
     elif picture == "parabolic":
         n1, n2, J, L = labels["n1"], labels["n2"], labels["J"], labels["L"]
         d = delta_exponents("kepler", (params.c1, params.c2), J, L, hb)
         tot = n1 + n2 + 0.5 * (d.delta1 + d.delta2 + J + L) + 2.0
         e_pic = -params.c0 ** 2 / (2.0 * hb ** 2 * tot ** 2)
         p = n1 + n2 + 0.5 * (J + L) + 1.0
-        e_alg = _alg_energy(p, d.delta1, d.delta2, params)
     elif picture == "euler":
         n, lam, T, K = labels["n"], labels["lam"], labels["T"], labels["K"]
         lam1, lam2 = 2.0 * params.c1, 2.0 * params.c2
@@ -94,7 +87,6 @@ def spectrum_identity_check(
         omega_star = omega * (4.0 * params.c0) / eps
         e_pic = -(omega_star ** 2) / 8.0
         p = n + lam + 1.0
-        e_alg = _alg_energy(p, d.delta1, d.delta2, params)
     elif picture == "cylindrical":
         n1, n2, T, K = labels["n1"], labels["n2"], labels["T"], labels["K"]
         lam1, lam2 = 2.0 * params.c1, 2.0 * params.c2
@@ -104,9 +96,9 @@ def spectrum_identity_check(
         omega_star = omega * (4.0 * params.c0) / eps
         e_pic = -(omega_star ** 2) / 8.0
         p = n1 + n2 + 0.5 * (T + K) + 1.0
-        e_alg = _alg_energy(p, d.delta1, d.delta2, params)
     else:
         raise ValueError(f"unknown picture {picture!r}")
+    e_alg = energy_level(p, AuxExponents(d.delta1, d.delta2), params)
     rel = abs(e_pic - e_alg) / max(abs(e_alg), 1e-300)
     return IdentityReport(
         picture=picture, labels=dict(labels), p=p,

@@ -123,14 +123,12 @@ class AlgebraReport:
 
     residual_q2 uses the linear-in-B constant of the commutation relation;
     residual_q2_alt_sign the variant implied by the printed Casimir.
-    residual_q3 is evaluated at the fitted rho rescale `rho_calibration`,
-    residual_q3_raw at scale 1.
+    residual_q3 is evaluated at the fitted rho rescale `rho_calibration`.
     """
 
     residual_q1: float
     residual_q2: float
     residual_q2_alt_sign: float
-    residual_q3_raw: float
     residual_q3: float
     rho_calibration: float
     casimir_offdiag: float
@@ -315,7 +313,6 @@ def verify_algebra(
         residual_q1=q1,
         residual_q2=q2_at(g1),
         residual_q2_alt_sign=q2_at(g1_alt),
-        residual_q3_raw=evals[1.0][1],
         residual_q3=evals[s_fit][1],
         rho_calibration=s_fit,
         casimir_offdiag=offdiag,

@@ -2,9 +2,12 @@
 finite-difference residual checks of the closed-form wavefunctions against
 their separated ODEs.
 
-Residuals use a centered 4th-order stencil on uniform grids.  A fraction of
-the grid (default 5% per end, at least the stencil width) is excluded from
-the max: the closed forms carry fractional powers of the coordinate at the
+Each residual check builds its grid and its closed form (the radial-type ones
+share the confluent envelope e^(-x/2) x^a 1F1(-n; b; x)) and hands its printed
+equation, a function of (x, f, f', f''), to one evaluator.  The evaluator
+takes the derivatives by centered 4th-order stencils on the uniform grid and
+excludes a fixed 5% of the grid per end (at least the stencil width) from the
+max: the closed forms carry fractional powers of the coordinate at the
 singular endpoints, where high derivatives grow fast enough that no fixed
 point-count margin converges under refinement.
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, ParameterPole
 from .params import ModelParams
@@ -74,6 +77,12 @@ class DeltaExponents:
     variant: str
 
 
+def shifted_exponent(f: float, coupling: float, z: float, hbar: float = 1.0) -> float:
+    """delta = sqrt(f*coupling/hbar^2 + (2z+1)^2) - z - 1: f = 4 for a 5D
+    coupling c_i at label J or L, f = 2 for an 8D coupling lam_i at T or K."""
+    return -1.0 + math.sqrt(f * coupling / hbar ** 2 + (2.0 * z + 1.0) ** 2) - z
+
+
 def delta_exponents(
     variant: str,
     couplings: tuple[float, float],
@@ -81,11 +90,8 @@ def delta_exponents(
     z2: float,
     hbar: float = 1.0,
 ) -> DeltaExponents:
-    """Coupling-shifted exponents of the angular/radial closed forms.
-
-    kepler: sqrt(4*c_i/hbar^2 + (2z+1)^2) with labels (J, L);
-    oscillator: sqrt(2*lam_i/hbar^2 + (2z+1)^2) with labels (T, K).
-    """
+    """Coupling-shifted exponents of the angular/radial closed forms:
+    "kepler" (f = 4, labels (J, L)) or "oscillator" (f = 2, labels (T, K))."""
     c1, c2 = couplings
     if c1 < 0 or c2 < 0:
         raise ValueError("couplings must be non-negative")
@@ -95,9 +101,8 @@ def delta_exponents(
         f = 2.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    d1 = -1.0 + math.sqrt(f * c1 / hbar ** 2 + (2.0 * z1 + 1.0) ** 2) - z1
-    d2 = -1.0 + math.sqrt(f * c2 / hbar ** 2 + (2.0 * z2 + 1.0) ** 2) - z2
-    return DeltaExponents(d1, d2, variant)
+    return DeltaExponents(
+        shifted_exponent(f, c1, z1, hbar), shifted_exponent(f, c2, z2, hbar), variant)
 
 
 def separation_constant(lam_eff: float) -> float:
@@ -105,45 +110,51 @@ def separation_constant(lam_eff: float) -> float:
     return lam_eff * (lam_eff + 3.0)
 
 
+def exponent_from_separation(sep: float) -> float:
+    """l with l(l+3) = sep, the non-negative branch."""
+    return 0.5 * (-3.0 + math.sqrt(9.0 + 4.0 * sep))
+
+
 def effective_exponent(m: int, z1: float, z2: float, deltas: DeltaExponents) -> float:
     """Exponent l with Lambda = l(l+3) for the degree-m angular solution."""
     return m + 0.5 * (z1 + z2 + deltas.delta1 + deltas.delta2)
 
 
-def _d1_4(f: np.ndarray, h: float) -> np.ndarray:
-    return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-
-
-def _d2_4(f: np.ndarray, h: float) -> np.ndarray:
-    return (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (
-        12.0 * h * h
-    )
-
-
-def _margin(n_points: int, margin_frac: float) -> int:
-    """Grid points excluded per end: margin_frac of the grid, at least 5."""
-    return max(5, int(round(margin_frac * n_points)))
-
-
-def _grid(lo: float, hi: float, n_points: int, margin_frac: float) -> tuple[np.ndarray, float]:
-    """Uniform residual grid and its spacing; the margin must leave at least
-    MIN_INTERIOR points (at the default margin, at least 13 grid points)."""
+def _max_residual(
+    lo: float, hi: float, n_points: int, closed_form: Callable, ode: Callable
+) -> float:
+    """Max |ode(x, f, f', f'')| of f = closed_form(x) on n_points uniform grid
+    points x over [lo, hi].  The derivatives are centered 4th-order stencils at
+    points 2 .. n-3, and MARGIN_FRACTION of the grid per end (at least 5
+    points) is left out of the max, which needs at least MIN_INTERIOR points
+    (so at least 13 grid points).  Values beyond the float range propagate as
+    inf or nan without a warning: a non-finite max is a check without a verdict.
+    """
     import numpy as np
 
-    m = _margin(n_points, margin_frac)
+    m = max(5, int(round(MARGIN_FRACTION * n_points)))
     if n_points < 2 * m + MIN_INTERIOR:
         raise ValueError(
             f"n_points={n_points} leaves {max(n_points - 2 * m, 0)} interior points after "
             f"the {m}-point margin per end; at least {MIN_INTERIOR} are needed, so use "
             f"at least {2 * m + MIN_INTERIOR} points")
     x = np.linspace(lo, hi, n_points)
-    return x, x[1] - x[0]
+    h = x[1] - x[0]
+    with np.errstate(all="ignore"):
+        f = closed_form(x)
+        f1 = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+        f2 = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (
+            12.0 * h * h
+        )
+        res = ode(x[2:-2], f[2:-2], f1, f2)
+        return float(np.max(np.abs(res[m - 2:res.size - (m - 2)])))
 
 
-def _trim(res: np.ndarray, n_points: int, margin_frac: float) -> np.ndarray:
-    # res is indexed from grid point 2 .. n-3; cut the margin per end
-    m = _margin(n_points, margin_frac)
-    return res[m - 2:res.size - (m - 2)]
+def _confluent(x: np.ndarray, n: int, a: float, b: float) -> np.ndarray:
+    """Confluent envelope e^(-x/2) x^a 1F1(-n; b; x) at each grid point."""
+    import numpy as np
+
+    return np.exp(-0.5 * x) * x ** a * np.array([kummer_poly(n, b, xi) for xi in x])
 
 
 def exp_cutoff(kappa: float, power: float, cut: float) -> float:
@@ -164,12 +175,10 @@ def angular_residual(
     lam: float,
     z1: float,
     z2: float,
-    deltas: DeltaExponents | None = None,
     *,
     couplings: tuple[float, float] = (0.0, 0.0),
     hbar: float = 1.0,
     n_points: int = 2001,
-    margin_frac: float = MARGIN_FRACTION,
 ) -> float:
     """Max interior residual of the angular ODE on its closed-form solution.
 
@@ -192,35 +201,26 @@ def angular_residual(
         pot_scale = 0.5
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    if deltas is None:
-        deltas = delta_exponents(variant, couplings, z1, z2, hbar)
+    deltas = delta_exponents(variant, couplings, z1, z2, hbar)
     d1, d2 = deltas.delta1, deltas.delta2
     c1, c2 = couplings
-
-    th, h = _grid(THETA_EDGE, math.pi - THETA_EDGE, n_points, margin_frac)
-    x = np.cos(th)
-    pj = np.array([jacobi_p(m, d2 + z2 + 1.0, d1 + z1 + 1.0, xi) for xi in x])
-    f = (1.0 + x) ** (0.5 * (d1 + z1)) * (1.0 - x) ** (0.5 * (d2 + z2)) * pj
-
-    f1 = _d1_4(f, h)
-    f2 = _d2_4(f, h)
-    t = th[2:-2]
-    xx = x[2:-2]
-    fm = f[2:-2]
-    lam_eff = effective_exponent(m, z1, z2, deltas)
     # both pictures share the sin^3-measure operator; the oscillator one
     # halves the coupling shift and scales the separation constant by 4
     q1 = z1 * (z1 + 1.0) + pot_scale * c1 / hbar ** 2
     q2 = z2 * (z2 + 1.0) + pot_scale * c2 / hbar ** 2
-    sep = separation_constant(lam_eff)
-    res = (
-        f2
-        + 3.0 / np.tan(t) * f1
-        - 2.0 * q2 / (1.0 - xx) * fm
-        - 2.0 * q1 / (1.0 + xx) * fm
-        + sep * fm
-    )
-    return float(np.max(np.abs(_trim(res, n_points, margin_frac))))
+    sep = separation_constant(effective_exponent(m, z1, z2, deltas))
+
+    def closed_form(th):
+        x = np.cos(th)
+        pj = np.array([jacobi_p(m, d2 + z2 + 1.0, d1 + z1 + 1.0, xi) for xi in x])
+        return (1.0 + x) ** (0.5 * (d1 + z1)) * (1.0 - x) ** (0.5 * (d2 + z2)) * pj
+
+    def ode(t, f, f1, f2):
+        c = np.cos(t)
+        return (f2 + 3.0 / np.tan(t) * f1 - 2.0 * q2 / (1.0 - c) * f
+                - 2.0 * q1 / (1.0 + c) * f + sep * f)
+
+    return _max_residual(THETA_EDGE, math.pi - THETA_EDGE, n_points, closed_form, ode)
 
 
 def kepler_radial_residual(
@@ -228,34 +228,21 @@ def kepler_radial_residual(
     lam_eff: float,
     params: ModelParams,
     n_points: int = 2001,
-    margin_frac: float = MARGIN_FRACTION,
 ) -> float:
     """Residual of the 5D radial equation on the closed-form bound state.
 
     lam_eff is the effective angular exponent (the separation constant is
     lam_eff*(lam_eff+3)).
     """
-    import numpy as np
-
     hb2 = params.hbar ** 2
     kappa = 2.0 * params.c0 / (hb2 * (n + lam_eff + 2.0))
     energy = -(kappa ** 2) * hb2 / 8.0
-    r, h = _grid(RADIAL_EDGE, exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT), n_points, margin_frac)
-    f = np.exp(-0.5 * kappa * r) * (kappa * r) ** lam_eff * np.array(
-        [kummer_poly(n, 4.0 + 2.0 * lam_eff, kappa * ri) for ri in r]
-    )
-    f1 = _d1_4(f, h)
-    f2 = _d2_4(f, h)
-    rm = r[2:-2]
-    fm = f[2:-2]
     sep = separation_constant(lam_eff)
-    res = (
-        f2
-        + 4.0 / rm * f1
-        + (2.0 / hb2) * (energy + params.c0 / rm) * fm
-        - sep / rm ** 2 * fm
-    )
-    return float(np.max(np.abs(_trim(res, n_points, margin_frac))))
+    return _max_residual(
+        RADIAL_EDGE, exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT), n_points,
+        lambda r: _confluent(kappa * r, n, lam_eff, 4.0 + 2.0 * lam_eff),
+        lambda r, f, f1, f2: (
+            f2 + 4.0 / r * f1 + (2.0 / hb2) * (energy + params.c0 / r) * f - sep / r ** 2 * f))
 
 
 def oscillator_radial_residual(
@@ -264,32 +251,17 @@ def oscillator_radial_residual(
     omega: float,
     hbar: float = 1.0,
     n_points: int = 2001,
-    margin_frac: float = MARGIN_FRACTION,
 ) -> float:
     """Residual of the 8D radial equation; Gamma = 4*lam_eff*(lam_eff+3)."""
-    import numpy as np
-
     kappa = omega / hbar
     eps = 2.0 * hbar * omega * (n + lam_eff + 2.0)
-    u_hi = math.sqrt(exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT))
-    u, h = _grid(RADIAL_EDGE, u_hi, n_points, margin_frac)
-    xi = kappa * u ** 2
-    f = np.exp(-0.5 * xi) * xi ** lam_eff * np.array(
-        [kummer_poly(n, 4.0 + 2.0 * lam_eff, x) for x in xi]
-    )
-    f1 = _d1_4(f, h)
-    f2 = _d2_4(f, h)
-    um = u[2:-2]
-    fm = f[2:-2]
-    gamma = 4.0 * lam_eff * (lam_eff + 3.0)
-    res = (
-        f2
-        + 7.0 / um * f1
-        - gamma / um ** 2 * fm
-        + (2.0 * eps / hbar ** 2) * fm
-        - (omega ** 2 / hbar ** 2) * um ** 2 * fm
-    )
-    return float(np.max(np.abs(_trim(res, n_points, margin_frac))))
+    gamma = 4.0 * separation_constant(lam_eff)
+    return _max_residual(
+        RADIAL_EDGE, math.sqrt(exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT)), n_points,
+        lambda u: _confluent(kappa * u ** 2, n, lam_eff, 4.0 + 2.0 * lam_eff),
+        lambda u, f, f1, f2: (
+            f2 + 7.0 / u * f1 - gamma / u ** 2 * f + (2.0 * eps / hbar ** 2) * f
+            - (omega ** 2 / hbar ** 2) * u ** 2 * f))
 
 
 def parabolic_pair_parameters(
@@ -315,11 +287,8 @@ def parabolic_residual(
     lam_tilde: float,
     params: ModelParams,
     n_points: int = 2001,
-    margin_frac: float = MARGIN_FRACTION,
 ) -> float:
     """Residual of one parabolic-coordinate equation ("mu" or "nu")."""
-    import numpy as np
-
     hb2 = params.hbar ** 2
     if sector == "mu":
         sep = 0.5 * params.hbar * lam_tilde
@@ -327,27 +296,16 @@ def parabolic_residual(
         sep = -0.5 * params.hbar * lam_tilde
     else:
         raise ValueError(f"unknown sector {sector!r}")
-    d = -1.0 + math.sqrt(4.0 * coupling / hb2 + (2.0 * z + 1.0) ** 2) - z
+    d = shifted_exponent(4.0, coupling, z, params.hbar)
     a = 0.5 * (d + z)
     energy = -hb2 * kappa ** 2 / 2.0
-    x, h = _grid(RADIAL_EDGE, exp_cutoff(kappa, a + n, ENVELOPE_CUT), n_points, margin_frac)
-    f = np.exp(-0.5 * kappa * x) * (kappa * x) ** a * np.array(
-        [kummer_poly(n, d + z + 2.0, kappa * xi) for xi in x]
-    )
-    f1 = _d1_4(f, h)
-    f2 = _d2_4(f, h)
-    xm = x[2:-2]
-    fm = f[2:-2]
     q = z * (z + 1.0) + coupling / hb2
-    res = (
-        xm * f2
-        + 2.0 * f1
-        + (energy / (2.0 * hb2)) * xm * fm
-        - q / xm * fm
-        + (params.c0 / (2.0 * hb2)) * fm
-        + sep * fm
-    )
-    return float(np.max(np.abs(_trim(res, n_points, margin_frac))))
+    return _max_residual(
+        RADIAL_EDGE, exp_cutoff(kappa, a + n, ENVELOPE_CUT), n_points,
+        lambda x: _confluent(kappa * x, n, a, d + z + 2.0),
+        lambda x, f, f1, f2: (
+            x * f2 + 2.0 * f1 + (energy / (2.0 * hb2)) * x * f - q / x * f
+            + (params.c0 / (2.0 * hb2)) * f + sep * f))
 
 
 def cylindrical_residual(
@@ -356,22 +314,13 @@ def cylindrical_residual(
     coupling: float,
     hbar: float = 1.0,
     n_points: int = 2001,
-    margin_frac: float = MARGIN_FRACTION,
 ) -> float:
     """Residual of one 4D-factor equation in the dimensionless variable."""
-    import numpy as np
-
-    d = -1.0 + math.sqrt(2.0 * coupling / hbar ** 2 + (2.0 * z + 1.0) ** 2) - z
+    d = shifted_exponent(2.0, coupling, z, hbar)
     a = 0.5 * (d + z)
     e = n + 0.5 * (d + z + 2.0)
-    x, h = _grid(RADIAL_EDGE, exp_cutoff(1.0, a + n, ENVELOPE_CUT), n_points, margin_frac)
-    f = np.exp(-0.5 * x) * x ** a * np.array(
-        [kummer_poly(n, d + z + 2.0, xi) for xi in x]
-    )
-    f1 = _d1_4(f, h)
-    f2 = _d2_4(f, h)
-    xm = x[2:-2]
-    fm = f[2:-2]
     q = z * (z + 1.0) + 0.5 * coupling / hbar ** 2
-    res = xm * f2 + 2.0 * f1 - (q / xm + 0.25 * xm - e) * fm
-    return float(np.max(np.abs(_trim(res, n_points, margin_frac))))
+    return _max_residual(
+        RADIAL_EDGE, exp_cutoff(1.0, a + n, ENVELOPE_CUT), n_points,
+        lambda x: _confluent(x, n, a, d + z + 2.0),
+        lambda x, f, f1, f2: x * f2 + 2.0 * f1 - (q / x + 0.25 * x - e) * f)

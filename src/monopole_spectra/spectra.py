@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 from .params import ModelParams
-from .specfun import delta_exponents, exp_cutoff
+from .specfun import delta_exponents, exp_cutoff, exponent_from_separation, shifted_exponent
 
 ENVELOPE_CUT = 1e-14
 POLISH_RTOL = 1e-13     # settled: |change of Rayleigh quotient| <= this * its magnitude
@@ -256,11 +256,6 @@ def _richardson_solve(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     return EigenResult(fine, rich)
 
 
-def exponent_from_separation(sep: float) -> float:
-    """l with l(l+3) = sep, the non-negative branch."""
-    return 0.5 * (-3.0 + math.sqrt(9.0 + 4.0 * sep))
-
-
 # ----------------------------------------------------------------- 5D Kepler
 
 def kepler_radial_spectrum(
@@ -326,7 +321,7 @@ def oscillator_radial_spectrum(
     """
     if gamma < 0 or omega <= 0:
         raise ValueError("gamma must be non-negative and omega positive")
-    g = 0.5 * (-3.0 + math.sqrt(9.0 + gamma))
+    g = exponent_from_separation(gamma / 4.0)  # gamma = 4 g (g + 3)
     # Gaussian envelope exp(-t^2 / 2) = exp(-x / 2) in x = t^2
     x_max = exp_cutoff(1.0, g + (k - 1) + 1.75, ENVELOPE_CUT)
     # chi = t^(7/2) R(t)
@@ -341,7 +336,7 @@ def oscillator_radial_spectrum(
 
 
 def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: int = 5) -> np.ndarray:
-    g = 0.5 * (-3.0 + math.sqrt(9.0 + gamma))
+    g = exponent_from_separation(gamma / 4.0)
     n = np.arange(k)
     return 2.0 * hbar * omega * (n + g + 2.0)
 
@@ -374,7 +369,7 @@ def cylindrical_problem(
     rho = (hbar / omega)^(1/2) t, on a domain that holds the lowest k levels.
     hbar enters only through the coupling ratio lam_coupling / hbar^2."""
     ratio = lam_coupling / hbar ** 2
-    d = -1.0 + math.sqrt(2.0 * ratio + (2.0 * z + 1.0) ** 2) - z
+    d = shifted_exponent(2.0, ratio, z)
     x_max = exp_cutoff(1.0, 0.5 * (d + z) + (k - 1) + 0.75, ENVELOPE_CUT)
     q = z * (z + 1.0) + 0.5 * ratio
     return SturmLiouvilleProblem(
@@ -399,7 +394,7 @@ def cylindrical_spectrum(
 def cylindrical_oracle(
     z: float, lam_coupling: float, omega: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
-    d = -1.0 + math.sqrt(2.0 * lam_coupling / hbar ** 2 + (2.0 * z + 1.0) ** 2) - z
+    d = shifted_exponent(2.0, lam_coupling, z, hbar)
     n = np.arange(k)
     return 2.0 * hbar * omega * (n + 0.5 * (d + z + 2.0))
 

@@ -185,6 +185,21 @@ class TestVerifyCommands:
         assert code == 0
         assert all(c["passed"] for c in env["checks"])
 
+    def test_duality_round_trip_runs_the_package_maps(self, capsys, monkeypatch):
+        from monopole_spectra import duality
+
+        exact = duality.oscillator_from_kepler
+
+        def off_by_1e12(*args):
+            return tuple(x * (1.0 + 1e-12) for x in exact(*args))
+
+        monkeypatch.setattr(duality, "oscillator_from_kepler", off_by_1e12)
+        code, env = run_json(["verify", "duality", "--grid", "small"], capsys)
+        assert code == 4
+        checks = {c["name"]: c for c in env["checks"]}
+        assert not checks["duality_round_trip"]["passed"]
+        assert checks["spectrum_identity"]["passed"]
+
     def test_residuals(self, capsys):
         code, env = run_json(
             ["verify", "residuals", "--picture", "kepler-angular", "--lam", "1",
@@ -265,6 +280,34 @@ class TestInputBoundary:
             assert code == 2, argv
             assert captured.out == ""
             assert "levels" in captured.err, argv
+
+    @pytest.mark.parametrize("argv, label", [
+        ("verify residuals --picture kepler-radial --hbar 1e+300",
+         "verify residuals --picture kepler-radial"),
+        ("verify ode --picture cylindrical --hbar 1e-300", "verify ode --picture cylindrical"),
+        ("verify algebra --hbar 1e+300 --l4 1e+150", "verify algebra"),
+        ("spectrum osc8d --hbar 1e-300 --lambda1 1", "spectrum osc8d"),
+    ])
+    def test_arithmetic_out_of_range_exit_2(self, argv, label, capsys):
+        # finite flags whose arithmetic overflows or divides by an underflow
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{label}: the inputs leave the floating-point range" in captured.err
+
+    @pytest.mark.parametrize("argv, check_name", [
+        ("verify residuals --picture cylindrical --z 10000 --lam-coupling 0.5",
+         "cylindrical_residual"),
+        ("verify residuals --picture osc-angular --lam 30 --K 1e-12 --lambda2 1e6 --hbar 1e-12",
+         "osc-angular_residual"),
+    ])
+    def test_non_finite_measure_is_no_verdict_exit_3(self, argv, check_name, capsys):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert f"{check_name} measured a non-finite value" in captured.err
 
 
 class TestCoulombPicturesThroughOscillator:
