@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NegativeRadicand, NonNegativeEnergy, PositivityViolation
 from .params import AuxExponents, ModelParams, QuantumNumbers, So6Labels
+from .specfun import coulomb_energy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -125,8 +126,7 @@ def energy_level(p: int, m: AuxExponents, params: ModelParams) -> float:
     """Bound-state energy of the (p+1)-dimensional representation."""
     if p < 0:
         raise ValueError(f"p must be a non-negative integer, got {p}")
-    denom = p + 1.0 + 0.5 * (m.m1 + m.m2)
-    return -params.c0 ** 2 / (2.0 * params.hbar ** 2 * denom ** 2)
+    return coulomb_energy(p + 1.0 + 0.5 * (m.m1 + m.m2), params)
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,7 @@ def solve_unirrep(
         raise PositivityViolation(
             f"pairing {root_pairing}: upper boundary root has no E < 0 branch"
         )
-    if root_pairing == 0:
-        E = energy_level(p, m, params)
-    else:
-        E = -params.c0 ** 2 / (2.0 * params.hbar ** 2 * (p + 0.5 + u) ** 2)
+    E = energy_level(p, m, params) if root_pairing == 0 else coulomb_energy(p + 0.5 + u, params)
 
     # the printed structure function lives in hbar = 1 units
     e_alg = E * params.hbar ** 2

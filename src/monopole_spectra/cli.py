@@ -243,10 +243,9 @@ def spectrum_osc8d(v: dict) -> tuple[list, list]:
     if v["lambda1"] < 0 or v["lambda2"] < 0 or T < 0 or K < 0:
         raise ValueError("couplings and labels must be non-negative")
     d = specfun.delta_exponents("oscillator", (v["lambda1"], v["lambda2"]), T, K, hbar)
-    base = 0.5 * (T + K + d.delta1 + d.delta2)
     results = []
     for s in range(v["levels"]):
-        eps = 2.0 * hbar * omega * (s + base + 2.0)
+        eps = specfun.oscillator_level(specfun.effective_exponent(s, T, K, d) + 2.0, omega, hbar)
         results.append(row({"n_plus_m": s}, eps, degeneracy=s + 1))
     return results, []
 

@@ -9,9 +9,11 @@ The level identifications used by `spectrum_identity_check`:
     cylindrical      p = n1 + n2 + (T+K)/2 + 1  (through the duality map)
 
 with the picture exponents substituted for the algebraic auxiliary exponents.
-The substitution is exact as a formula identity; whether a picture sector
-(J, L) shares its exponents with an algebraic sector (l4, T) is a separate
-question answered by `enumerate_delta_m_matches`.
+The 8D pictures reach the 5D energy through `kepler_from_oscillator` itself,
+so the check tests that map as well as the level formulas.  The substitution
+is exact as a formula identity; whether a picture sector (J, L) shares its
+exponents with an algebraic sector (l4, T) is a separate question answered
+by `enumerate_delta_m_matches`.
 """
 from __future__ import annotations
 
@@ -21,13 +23,15 @@ from dataclasses import dataclass
 from .algebra import aux_exponents, energy_level
 from .errors import NegativeRadicand, NonNegativeEnergy
 from .params import AuxExponents, ModelParams, QuantumNumbers
-from .specfun import delta_exponents
+from .specfun import coulomb_energy, delta_exponents, effective_exponent, oscillator_level
 
 
 def kepler_from_oscillator(
     epsilon: float, omega: float, lam1: float, lam2: float
 ) -> tuple[float, float, float, float]:
     """(c0, E, c1, c2) of the 5D system dual to an 8D oscillator level."""
+    if not all(map(math.isfinite, (epsilon, omega, lam1, lam2))):
+        raise ValueError(f"(epsilon, omega, lam1, lam2) = {epsilon, omega, lam1, lam2} not finite")
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     return epsilon / 4.0, -(omega ** 2) / 8.0, lam1 / 2.0, lam2 / 2.0
@@ -37,6 +41,8 @@ def oscillator_from_kepler(
     c0: float, E: float, c1: float, c2: float
 ) -> tuple[float, float, float, float]:
     """(epsilon, omega, lam1, lam2) of the dual 8D oscillator."""
+    if not all(map(math.isfinite, (c0, E, c1, c2))):
+        raise ValueError(f"(c0, E, c1, c2) = {c0, E, c1, c2} not finite")
     if E >= 0:
         raise NonNegativeEnergy(f"bound-state energy must be negative, got {E}")
     return 4.0 * c0, math.sqrt(-8.0 * E), 2.0 * c1, 2.0 * c2
@@ -52,6 +58,15 @@ class IdentityReport:
     rel_diff: float
 
 
+# picture -> (sector labels, system, whether its levels count factor degrees n1, n2)
+_PICTURES = {
+    "hyperspherical": (("J", "L"), "kepler", False),
+    "parabolic": (("J", "L"), "kepler", True),
+    "euler": (("T", "K"), "oscillator", False),
+    "cylindrical": (("T", "K"), "oscillator", True),
+}
+
+
 def spectrum_identity_check(
     picture: str, labels: dict, params: ModelParams, omega: float = 1.0
 ) -> IdentityReport:
@@ -59,45 +74,33 @@ def spectrum_identity_check(
     formula under the stated level identification.
 
     labels: hyperspherical/euler need n, lam plus (J, L) or (T, K);
-    parabolic/cylindrical need n1, n2 plus the pair labels.  The euler and
-    cylindrical pictures run at the supplied oscillator frequency and map
-    back through the duality relations.
+    parabolic/cylindrical need n1, n2 plus the pair labels.  An 8D picture
+    (euler, cylindrical) takes its level at the supplied oscillator frequency
+    and the couplings lam_i = 2 c_i, maps it to its 5D dual through
+    `kepler_from_oscillator`, and scales that dual to params.c0 by E ~ c0^2:
+    the caller's omega only seeds the chain.
     """
-    hb = params.hbar
-    if picture == "hyperspherical":
-        n, lam, J, L = labels["n"], labels["lam"], labels["J"], labels["L"]
-        d = delta_exponents("kepler", (params.c1, params.c2), J, L, hb)
-        dbar = 0.5 * (d.delta1 + d.delta2)
-        e_pic = -params.c0 ** 2 / (2.0 * hb ** 2 * (n + lam + 2.0 + dbar) ** 2)
-        p = n + lam + 1.0
-    elif picture == "parabolic":
-        n1, n2, J, L = labels["n1"], labels["n2"], labels["J"], labels["L"]
-        d = delta_exponents("kepler", (params.c1, params.c2), J, L, hb)
-        tot = n1 + n2 + 0.5 * (d.delta1 + d.delta2 + J + L) + 2.0
-        e_pic = -params.c0 ** 2 / (2.0 * hb ** 2 * tot ** 2)
-        p = n1 + n2 + 0.5 * (J + L) + 1.0
-    elif picture == "euler":
-        n, lam, T, K = labels["n"], labels["lam"], labels["T"], labels["K"]
-        lam1, lam2 = 2.0 * params.c1, 2.0 * params.c2
-        d = delta_exponents("oscillator", (lam1, lam2), T, K, hb)
-        dbar = 0.5 * (d.delta1 + d.delta2)
-        eps = 2.0 * hb * omega * (n + lam + dbar + 2.0)
-        # dual Kepler system: its Coulomb strength must match params.c0,
-        # which fixes omega; the caller's omega only seeds the chain
-        omega_star = omega * (4.0 * params.c0) / eps
-        e_pic = -(omega_star ** 2) / 8.0
-        p = n + lam + 1.0
-    elif picture == "cylindrical":
-        n1, n2, T, K = labels["n1"], labels["n2"], labels["T"], labels["K"]
-        lam1, lam2 = 2.0 * params.c1, 2.0 * params.c2
-        d = delta_exponents("oscillator", (lam1, lam2), T, K, hb)
-        tot = n1 + n2 + 0.5 * (d.delta1 + d.delta2 + T + K) + 2.0
-        eps = 2.0 * hb * omega * tot
-        omega_star = omega * (4.0 * params.c0) / eps
-        e_pic = -(omega_star ** 2) / 8.0
-        p = n1 + n2 + 0.5 * (T + K) + 1.0
-    else:
+    if picture not in _PICTURES:
         raise ValueError(f"unknown picture {picture!r}")
+    (a, b), variant, pair = _PICTURES[picture]
+    z1, z2 = labels[a], labels[b]
+    scale = 1.0 if variant == "kepler" else 2.0  # an 8D dual has lam_i = 2 c_i
+    couplings = (scale * params.c1, scale * params.c2)
+    d = delta_exponents(variant, couplings, z1, z2, params.hbar)
+    if pair:
+        n1, n2 = labels["n1"], labels["n2"]
+        N = effective_exponent(n1 + n2, z1, z2, d) + 2.0
+        p = n1 + n2 + 0.5 * (z1 + z2) + 1.0
+    else:
+        n, lam = labels["n"], labels["lam"]
+        N = n + lam + 2.0 + 0.5 * (d.delta1 + d.delta2)
+        p = n + lam + 1.0
+    if variant == "kepler":
+        e_pic = coulomb_energy(N, params)
+    else:
+        c0, e_dual, _, _ = kepler_from_oscillator(
+            oscillator_level(N, omega, params.hbar), omega, *couplings)
+        e_pic = e_dual * (params.c0 / c0) ** 2
     e_alg = energy_level(p, AuxExponents(d.delta1, d.delta2), params)
     rel = abs(e_pic - e_alg) / max(abs(e_alg), 1e-300)
     return IdentityReport(

@@ -1,6 +1,12 @@
-"""Jacobi and polynomial Kummer functions, coupling-shifted exponents, and
-finite-difference residual checks of the closed-form wavefunctions against
-their separated ODEs.
+"""Jacobi and polynomial Kummer functions, coupling-shifted exponents, the
+level formulas, and finite-difference residual checks of the closed-form
+wavefunctions against their separated ODEs.
+
+Each level formula is written once, here: `coulomb_energy` (5D),
+`oscillator_level` (8D), `sector_potential` (a sector's inverse-square
+coefficient q) and `parabolic_pair`.  `shifted_exponent` and
+`sector_potential` take a coupling with one factor f (`COUPLING_FACTOR`):
+4 for a 5D c_i at J or L, 2 for an 8D lam_i at T or K.
 
 Each residual check builds its grid and its closed form (the radial-type ones
 share the confluent envelope e^(-x/2) x^a 1F1(-n; b; x)) and hands its printed
@@ -77,10 +83,19 @@ class DeltaExponents:
     variant: str
 
 
+# f of a coupling per variant: its shift is f * coupling / hbar^2 under the root
+COUPLING_FACTOR = {"kepler": 4.0, "oscillator": 2.0}
+
+
 def shifted_exponent(f: float, coupling: float, z: float, hbar: float = 1.0) -> float:
-    """delta = sqrt(f*coupling/hbar^2 + (2z+1)^2) - z - 1: f = 4 for a 5D
-    coupling c_i at label J or L, f = 2 for an 8D coupling lam_i at T or K."""
+    """delta = sqrt(f*coupling/hbar^2 + (2z+1)^2) - z - 1 (f from COUPLING_FACTOR)."""
     return -1.0 + math.sqrt(f * coupling / hbar ** 2 + (2.0 * z + 1.0) ** 2) - z
+
+
+def sector_potential(f: float, coupling: float, z: float, hbar: float = 1.0) -> float:
+    """q = z(z+1) + f*coupling/(4 hbar^2), the inverse-square coefficient of
+    one sector (f as in `shifted_exponent`)."""
+    return z * (z + 1.0) + 0.25 * f * coupling / hbar ** 2
 
 
 def delta_exponents(
@@ -95,12 +110,9 @@ def delta_exponents(
     c1, c2 = couplings
     if c1 < 0 or c2 < 0:
         raise ValueError("couplings must be non-negative")
-    if variant == "kepler":
-        f = 4.0
-    elif variant == "oscillator":
-        f = 2.0
-    else:
+    if variant not in COUPLING_FACTOR:
         raise ValueError(f"unknown variant {variant!r}")
+    f = COUPLING_FACTOR[variant]
     return DeltaExponents(
         shifted_exponent(f, c1, z1, hbar), shifted_exponent(f, c2, z2, hbar), variant)
 
@@ -118,6 +130,26 @@ def exponent_from_separation(sep: float) -> float:
 def effective_exponent(m: int, z1: float, z2: float, deltas: DeltaExponents) -> float:
     """Exponent l with Lambda = l(l+3) for the degree-m angular solution."""
     return m + 0.5 * (z1 + z2 + deltas.delta1 + deltas.delta2)
+
+
+def coulomb_energy(N, params: ModelParams):
+    """-c0^2 / (2 hbar^2 N^2), the 5D level at principal number N (a float or an array)."""
+    return -params.c0 ** 2 / (2.0 * params.hbar ** 2 * N ** 2)
+
+
+def oscillator_level(N, omega: float, hbar: float = 1.0):
+    """2 hbar omega N, the 8D level at principal number N (a float or an array)."""
+    return 2.0 * hbar * omega * N
+
+
+def parabolic_pair(N1: float, N2: float, params: ModelParams) -> tuple[float, float, float]:
+    """(kappa, lam_tilde, E) of the parabolic pair whose two factors have
+    principal numbers N1 and N2: kappa = c0 / (hbar^2 (N1 + N2)), lam_tilde =
+    2 (kappa N1 - c0 / (2 hbar^2)) / hbar and E = coulomb_energy(N1 + N2)."""
+    hb2 = params.hbar ** 2
+    kappa = params.c0 / (hb2 * (N1 + N2))
+    lam_tilde = 2.0 * (kappa * N1 - params.c0 / (2.0 * hb2)) / params.hbar
+    return kappa, lam_tilde, coulomb_energy(N1 + N2, params)
 
 
 def _max_residual(
@@ -193,21 +225,14 @@ def angular_residual(
         raise DomainError(
             f"lam={lam} gives the degree lam - z1 - z2 = {mf}, which must be a "
             f"non-negative integer")
-    if picture == "kepler_hyperspherical":
-        variant = "kepler"
-        pot_scale = 1.0
-    elif picture == "oscillator_euler":
-        variant = "oscillator"
-        pot_scale = 0.5
-    else:
+    variant = {"kepler_hyperspherical": "kepler", "oscillator_euler": "oscillator"}.get(picture)
+    if variant is None:
         raise ValueError(f"unknown picture {picture!r}")
     deltas = delta_exponents(variant, couplings, z1, z2, hbar)
     d1, d2 = deltas.delta1, deltas.delta2
-    c1, c2 = couplings
-    # both pictures share the sin^3-measure operator; the oscillator one
-    # halves the coupling shift and scales the separation constant by 4
-    q1 = z1 * (z1 + 1.0) + pot_scale * c1 / hbar ** 2
-    q2 = z2 * (z2 + 1.0) + pot_scale * c2 / hbar ** 2
+    # both pictures share the sin^3-measure operator, up to the coupling factor f
+    f, (c1, c2) = COUPLING_FACTOR[variant], couplings
+    q1, q2 = sector_potential(f, c1, z1, hbar), sector_potential(f, c2, z2, hbar)
     sep = separation_constant(effective_exponent(m, z1, z2, deltas))
 
     def closed_form(th):
@@ -236,7 +261,7 @@ def kepler_radial_residual(
     """
     hb2 = params.hbar ** 2
     kappa = 2.0 * params.c0 / (hb2 * (n + lam_eff + 2.0))
-    energy = -(kappa ** 2) * hb2 / 8.0
+    energy = coulomb_energy(n + lam_eff + 2.0, params)
     sep = separation_constant(lam_eff)
     return _max_residual(
         RADIAL_EDGE, exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT), n_points,
@@ -254,7 +279,7 @@ def oscillator_radial_residual(
 ) -> float:
     """Residual of the 8D radial equation; Gamma = 4*lam_eff*(lam_eff+3)."""
     kappa = omega / hbar
-    eps = 2.0 * hbar * omega * (n + lam_eff + 2.0)
+    eps = oscillator_level(n + lam_eff + 2.0, omega, hbar)
     gamma = 4.0 * separation_constant(lam_eff)
     return _max_residual(
         RADIAL_EDGE, math.sqrt(exp_cutoff(kappa, lam_eff + n, ENVELOPE_CUT)), n_points,
@@ -269,13 +294,7 @@ def parabolic_pair_parameters(
 ) -> tuple[float, float, float]:
     """(kappa, lam_tilde, E) of the quantized parabolic state (n1, n2)."""
     d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
-    hb2 = params.hbar ** 2
-    total = n1 + n2 + 0.5 * (d.delta1 + d.delta2 + J + L) + 2.0
-    kappa = params.c0 / (hb2 * total)
-    a1 = 0.5 * (d.delta1 + J)
-    lam_tilde = (2.0 / params.hbar) * (kappa * (n1 + a1 + 1.0) - params.c0 / (2.0 * hb2))
-    energy = -hb2 * kappa ** 2 / 2.0
-    return kappa, lam_tilde, energy
+    return parabolic_pair(n1 + 0.5 * (d.delta1 + J + 2.0), n2 + 0.5 * (d.delta2 + L + 2.0), params)
 
 
 def parabolic_residual(
@@ -299,7 +318,7 @@ def parabolic_residual(
     d = shifted_exponent(4.0, coupling, z, params.hbar)
     a = 0.5 * (d + z)
     energy = -hb2 * kappa ** 2 / 2.0
-    q = z * (z + 1.0) + coupling / hb2
+    q = sector_potential(4.0, coupling, z, params.hbar)
     return _max_residual(
         RADIAL_EDGE, exp_cutoff(kappa, a + n, ENVELOPE_CUT), n_points,
         lambda x: _confluent(kappa * x, n, a, d + z + 2.0),
@@ -319,7 +338,7 @@ def cylindrical_residual(
     d = shifted_exponent(2.0, coupling, z, hbar)
     a = 0.5 * (d + z)
     e = n + 0.5 * (d + z + 2.0)
-    q = z * (z + 1.0) + 0.5 * coupling / hbar ** 2
+    q = sector_potential(2.0, coupling, z, hbar)
     return _max_residual(
         RADIAL_EDGE, exp_cutoff(1.0, a + n, ENVELOPE_CUT), n_points,
         lambda x: _confluent(x, n, a, d + z + 2.0),

@@ -39,7 +39,11 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 from .params import ModelParams
-from .specfun import delta_exponents, exp_cutoff, exponent_from_separation, shifted_exponent
+from .specfun import (
+    coulomb_energy, delta_exponents, effective_exponent, exp_cutoff, exponent_from_separation,
+    oscillator_level, parabolic_pair, parabolic_pair_parameters, sector_potential,
+    separation_constant, shifted_exponent,
+)
 
 ENVELOPE_CUT = 1e-14
 POLISH_RTOL = 1e-13     # settled: |change of Rayleigh quotient| <= this * its magnitude
@@ -265,19 +269,17 @@ def kepler_radial_spectrum(
     constant lam >= 0.
 
     Solved as the 8D radial equation at Gamma = 4 lam, hbar = omega = 1,
-    whose levels eps_n give nu_n = 2 eps_n = 8 c0 / (hbar^2 kappa_n) with
-    kappa_n^2 = -8 E_n / hbar^2, i.e. E_n = -8 c0^2 / (hbar^2 nu_n^2).
+    whose levels eps_n = 2 N_n carry the principal numbers N_n of the 5D
+    levels E_n = coulomb_energy(N_n).
     """
     if lam < 0:
         raise ValueError(f"separation constant must be non-negative, got {lam}")
     return oscillator_radial_spectrum(4.0 * lam, 1.0, 1.0, k, mesh).scaled(
-        lambda eps: -8.0 * params.c0 ** 2 / (params.hbar ** 2 * (2.0 * eps) ** 2))
+        lambda eps: coulomb_energy(eps / 2.0, params))
 
 
 def kepler_radial_oracle(lam: float, params: ModelParams, k: int = 5) -> np.ndarray:
-    ell = exponent_from_separation(lam)
-    n = np.arange(k)
-    return -params.c0 ** 2 / (2.0 * params.hbar ** 2 * (n + ell + 2.0) ** 2)
+    return coulomb_energy(np.arange(k) + exponent_from_separation(lam) + 2.0, params)
 
 
 def _angular_solve(q1: float, q2: float, k: int, mesh: int) -> EigenResult:
@@ -295,17 +297,13 @@ def kepler_angular_spectrum(
     """Lowest k separation constants of the polar equation at labels (J, L)."""
     if J < 0 or L < 0:
         raise ValueError("J and L must be non-negative")
-    hb2 = params.hbar ** 2
-    q1 = J * (J + 1.0) + params.c1 / hb2
-    q2 = L * (L + 1.0) + params.c2 / hb2
-    return _angular_solve(q1, q2, k, mesh)
+    return _angular_solve(sector_potential(4.0, params.c1, J, params.hbar),
+                          sector_potential(4.0, params.c2, L, params.hbar), k, mesh)
 
 
 def kepler_angular_oracle(J: float, L: float, params: ModelParams, k: int = 5) -> np.ndarray:
     d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
-    s = 0.5 * (J + L + d.delta1 + d.delta2)
-    m = np.arange(k)
-    return (m + s) * (m + s + 3.0)
+    return separation_constant(effective_exponent(np.arange(k), J, L, d))
 
 
 # ------------------------------------------------------------ 8D oscillator
@@ -337,8 +335,7 @@ def oscillator_radial_spectrum(
 
 def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: int = 5) -> np.ndarray:
     g = exponent_from_separation(gamma / 4.0)
-    n = np.arange(k)
-    return 2.0 * hbar * omega * (n + g + 2.0)
+    return oscillator_level(np.arange(k) + g + 2.0, omega, hbar)
 
 
 def oscillator_angular_spectrum(
@@ -347,19 +344,15 @@ def oscillator_angular_spectrum(
     """Lowest k values of Gamma for the 8D polar equation at labels (T, K)."""
     if T < 0 or K < 0 or lam1 < 0 or lam2 < 0:
         raise ValueError("labels and couplings must be non-negative")
-    hb2 = hbar ** 2
-    q1 = T * (T + 1.0) + 0.5 * lam1 / hb2
-    q2 = K * (K + 1.0) + 0.5 * lam2 / hb2
-    return _angular_solve(q1, q2, k, mesh).scaled(lambda g: 4.0 * g)
+    return _angular_solve(sector_potential(2.0, lam1, T, hbar),
+                          sector_potential(2.0, lam2, K, hbar), k, mesh).scaled(lambda g: 4.0 * g)
 
 
 def oscillator_angular_oracle(
     T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
     d = delta_exponents("oscillator", (lam1, lam2), T, K, hbar)
-    s = 0.5 * (T + K + d.delta1 + d.delta2)
-    m = np.arange(k)
-    return 4.0 * (m + s) * (m + s + 3.0)
+    return 4.0 * separation_constant(effective_exponent(np.arange(k), T, K, d))
 
 
 def cylindrical_problem(
@@ -371,9 +364,8 @@ def cylindrical_problem(
     ratio = lam_coupling / hbar ** 2
     d = shifted_exponent(2.0, ratio, z)
     x_max = exp_cutoff(1.0, 0.5 * (d + z) + (k - 1) + 0.75, ENVELOPE_CUT)
-    q = z * (z + 1.0) + 0.5 * ratio
     return SturmLiouvilleProblem(
-        inv_x2=4.0 * q + 0.75,
+        inv_x2=4.0 * sector_potential(2.0, ratio, z) + 0.75,
         quad=1.0,
         domain=(0.0, math.sqrt(x_max)),
         mesh_size=mesh,
@@ -395,8 +387,7 @@ def cylindrical_oracle(
     z: float, lam_coupling: float, omega: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
     d = shifted_exponent(2.0, lam_coupling, z, hbar)
-    n = np.arange(k)
-    return 2.0 * hbar * omega * (n + 0.5 * (d + z + 2.0))
+    return oscillator_level(np.arange(k) + 0.5 * (d + z + 2.0), omega, hbar)
 
 
 # ------------------------------------------------------------ parabolic pair
@@ -418,10 +409,10 @@ def parabolic_quantization(
 
     Under x = y^2 sector i is the cylindrical sector at coupling
     2 c_i / hbar^2 (hbar = omega = 1) with eigenvalue
-    4 (xi_i + c0 / (2 hbar^2)) = kappa nu^i, nu^i = 2 eps^i, so
-    kappa* = 4 c0 / (hbar^2 (nu^1_n1 + nu^2_n2)), E = -hbar^2 kappa*^2 / 2
-    and lam_tilde = 2 xi1 / hbar, all from the sector spectra Richardson-
-    extrapolated over (mesh, 2*mesh).
+    4 (xi_i + c0 / (2 hbar^2)) = kappa nu^i, nu^i = 2 eps^i = 4 N_i, so
+    the pair is `parabolic_pair(N1, N2)` at the factor principal numbers
+    N_i = eps^i / 2 of the sector spectra, Richardson-extrapolated over
+    (mesh, 2*mesh).
     """
     if J < 0 or L < 0:
         raise ValueError("J and L must be non-negative")
@@ -430,22 +421,13 @@ def parabolic_quantization(
         return []
     sector1 = cylindrical_spectrum(J, 2.0 * params.c1 / hb2, 1.0, 1.0, n_max + 1, mesh)
     sector2 = cylindrical_spectrum(L, 2.0 * params.c2 / hb2, 1.0, 1.0, n_max + 1, mesh)
+    N1, N2 = sector1.richardson / 2.0, sector2.richardson / 2.0
     levels = []
     for n1, n2 in ((i, s - i) for s in range(n_max + 1) for i in range(s + 1)):
-        nu1 = 2.0 * sector1.richardson[n1]
-        nu2 = 2.0 * sector2.richardson[n2]
-        kappa = 4.0 * params.c0 / (hb2 * (nu1 + nu2))
-        xi1 = kappa * nu1 / 4.0 - params.c0 / (2.0 * hb2)
-        levels.append(
-            ParabolicLevel(
-                n1=n1, n2=n2, lam_tilde=2.0 * xi1 / params.hbar,
-                energy=-hb2 * kappa ** 2 / 2.0, kappa=kappa,
-            )
-        )
+        kappa, lam_tilde, energy = parabolic_pair(N1[n1], N2[n2], params)
+        levels.append(ParabolicLevel(n1, n2, lam_tilde, energy, kappa))
     return levels
 
 
 def parabolic_oracle(n1: int, n2: int, J: float, L: float, params: ModelParams) -> float:
-    d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
-    total = n1 + n2 + 0.5 * (d.delta1 + d.delta2 + J + L) + 2.0
-    return -params.c0 ** 2 / (2.0 * params.hbar ** 2 * total ** 2)
+    return parabolic_pair_parameters(n1, n2, J, L, params)[2]

@@ -5,12 +5,30 @@ from hypothesis import strategies as st
 
 from monopole_spectra import (
     ModelParams,
+    duality,
     kepler_from_oscillator,
     oscillator_from_kepler,
     spectrum_identity_check,
 )
 from monopole_spectra.duality import delta_m_match, enumerate_delta_m_matches
+from monopole_spectra.cli import IDENTITY_RTOL
 from monopole_spectra.errors import NonNegativeEnergy
+
+
+def full_grid():
+    """(picture, labels, params) of every identity-check point of the label
+    and coupling grid that `test_full_grid` covers."""
+    for c1 in (0.0, 0.5, 1.5):
+        for c2 in (0.0, 0.5, 1.5):
+            params = ModelParams(1.0, c1, c2)
+            for z in (0.0, 0.5, 1.0):
+                for n in range(6):
+                    for extra in range(6):
+                        lam = int(2 * z) + extra
+                        yield "hyperspherical", dict(n=n, lam=lam, J=z, L=z), params
+                        yield "euler", dict(n=n, lam=lam, T=z, K=z), params
+                        yield "parabolic", dict(n1=n, n2=extra, J=z, L=z), params
+                        yield "cylindrical", dict(n1=n, n2=extra, T=z, K=z), params
 
 
 class TestMaps:
@@ -32,6 +50,15 @@ class TestMaps:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             kepler_from_oscillator(4.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        for args in ((bad, 1.0, 0.0, 0.0), (4.0, bad, 0.0, 0.0), (4.0, 1.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="not finite"):
+                kepler_from_oscillator(*args)
+        for args in ((1.0, bad, 0.0, 0.0), (bad, -0.125, 0.0, 0.0), (1.0, -0.125, bad, 0.0)):
+            with pytest.raises(ValueError, match="not finite"):
+                oscillator_from_kepler(*args)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -74,27 +101,40 @@ class TestIdentityCheck:
     def test_full_grid(self):
         """All four pictures agree with the master formula to 1e-12 over the
         label/coupling grid."""
-        worst = 0.0
-        for c1 in (0.0, 0.5, 1.5):
-            for c2 in (0.0, 0.5, 1.5):
-                params = ModelParams(1.0, c1, c2)
-                for z in (0.0, 0.5, 1.0):
-                    for n in range(6):
-                        for extra in range(6):
-                            lam = int(2 * z) + extra
-                            worst = max(worst, spectrum_identity_check(
-                                "hyperspherical", dict(n=n, lam=lam, J=z, L=z), params
-                            ).rel_diff)
-                            worst = max(worst, spectrum_identity_check(
-                                "euler", dict(n=n, lam=lam, T=z, K=z), params
-                            ).rel_diff)
-                            worst = max(worst, spectrum_identity_check(
-                                "parabolic", dict(n1=n, n2=extra, J=z, L=z), params
-                            ).rel_diff)
-                            worst = max(worst, spectrum_identity_check(
-                                "cylindrical", dict(n1=n, n2=extra, T=z, K=z), params
-                            ).rel_diff)
+        worst = max(spectrum_identity_check(*point).rel_diff for point in full_grid())
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
+    def test_dual_chain_is_free_of_omega(self, omega):
+        """The oscillator frequency only seeds the 8D chain: every frequency
+        gives the master formula."""
+        worst = max(spectrum_identity_check(picture, labels, params, omega).rel_diff
+                    for picture, labels, params in full_grid()
+                    if picture in ("euler", "cylindrical"))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("omega", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("picture, labels", [
+        ("euler", dict(n=1, lam=2, T=0.5, K=0.5)),
+        ("cylindrical", dict(n1=1, n2=2, T=0.5, K=0.5)),
+    ])
+    def test_rejects_bad_omega(self, picture, labels, omega):
+        with pytest.raises(ValueError):
+            spectrum_identity_check(picture, labels, ModelParams(1.0, 0.5, 0.5), omega)
+
+    def test_dual_chain_runs_the_duality_map(self, monkeypatch):
+        """A map whose c0 is 1e-12 off must show in the 8D pictures."""
+        exact = duality.kepler_from_oscillator
+
+        def off_by_1e12(*args):
+            c0, e, c1, c2 = exact(*args)
+            return c0 * (1.0 + 1e-12), e, c1, c2
+
+        monkeypatch.setattr(duality, "kepler_from_oscillator", off_by_1e12)
+        params = ModelParams(1.0, 0.5, 1.5)
+        for picture, labels in (("euler", dict(n=1, lam=2, T=0.5, K=0.5)),
+                                ("cylindrical", dict(n1=1, n2=2, T=0.5, K=0.5))):
+            assert spectrum_identity_check(picture, labels, params).rel_diff > IDENTITY_RTOL
 
     def test_hbar_invariance_of_dual_chain(self):
         r = spectrum_identity_check(

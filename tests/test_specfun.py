@@ -10,12 +10,16 @@ from scipy.special import eval_jacobi
 from monopole_spectra import ModelParams, delta_exponents, jacobi_p, kummer_poly
 from monopole_spectra.errors import DomainError, ParameterPole
 from monopole_spectra.specfun import (
+    COUPLING_FACTOR,
     angular_residual,
     cylindrical_residual,
     kepler_radial_residual,
     oscillator_radial_residual,
+    parabolic_pair,
     parabolic_pair_parameters,
     parabolic_residual,
+    sector_potential,
+    shifted_exponent,
 )
 
 
@@ -145,6 +149,38 @@ class TestDeltaExponents:
         d1 = delta_exponents("kepler", (c, 0.0), z, 0.0).delta1
         d2 = delta_exponents("kepler", (c + dc, 0.0), z, 0.0).delta1
         assert d2 > d1 >= z - 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variant=st.sampled_from(sorted(COUPLING_FACTOR)),
+        c=st.floats(min_value=0.0, max_value=50.0),
+        z=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        hbar=st.floats(min_value=0.1, max_value=10.0),
+    )
+    def test_sector_potential_shares_the_coupling_factor(self, variant, c, z, hbar):
+        """(delta + z + 1)^2 = 4 q + 1 when both take the variant's f."""
+        f = COUPLING_FACTOR[variant]
+        d = shifted_exponent(f, c, z, hbar)
+        q = sector_potential(f, c, z, hbar)
+        assert (d + z + 1.0) ** 2 == pytest.approx(4.0 * q + 1.0, rel=1e-12)
+
+
+class TestParabolicPair:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        N1=st.floats(min_value=1.0, max_value=50.0),
+        N2=st.floats(min_value=1.0, max_value=50.0),
+        c0=st.floats(min_value=0.01, max_value=100.0),
+        hbar=st.floats(min_value=0.1, max_value=10.0),
+    )
+    def test_parabolic_pair(self, N1, N2, c0, hbar):
+        """E = -hbar^2 kappa^2 / 2, and lam_tilde changes sign with the factors."""
+        params = ModelParams(c0=c0, hbar=hbar)
+        kappa, lam_tilde, energy = parabolic_pair(N1, N2, params)
+        assert energy == pytest.approx(-hbar ** 2 * kappa ** 2 / 2.0, rel=1e-14)
+        swapped = parabolic_pair(N2, N1, params)[1]
+        scale = 2.0 * c0 / hbar ** 3
+        assert abs(lam_tilde + swapped) <= 1e-14 * scale
 
 
 UNIT = ModelParams(c0=1.0)
