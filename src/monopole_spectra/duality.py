@@ -73,12 +73,12 @@ def spectrum_identity_check(
     """Compare a picture's closed-form energy against the algebraic master
     formula under the stated level identification.
 
-    labels: hyperspherical/euler need n, lam plus (J, L) or (T, K);
-    parabolic/cylindrical need n1, n2 plus the pair labels.  An 8D picture
-    (euler, cylindrical) takes its level at the supplied oscillator frequency
-    and the couplings lam_i = 2 c_i, maps it to its 5D dual through
-    `kepler_from_oscillator`, and scales that dual to params.c0 by E ~ c0^2:
-    the caller's omega only seeds the chain.
+    labels: hyperspherical/euler need n, lam = m + (J+L)/2 (or m + (T+K)/2,
+    m the angular degree) plus (J, L) or (T, K); parabolic/cylindrical need
+    n1, n2 plus the pair labels.  An 8D picture (euler, cylindrical) takes its
+    level at the supplied oscillator frequency and the couplings lam_i = 2 c_i,
+    maps it to its 5D dual through `kepler_from_oscillator`, and scales that
+    dual to params.c0 by E ~ c0^2: the caller's omega only seeds the chain.
     """
     if picture not in _PICTURES:
         raise ValueError(f"unknown picture {picture!r}")

@@ -4,7 +4,8 @@ wavefunctions against their separated ODEs.
 
 Each level formula is written once, here: `coulomb_energy` (5D),
 `oscillator_level` (8D), `sector_potential` (a sector's inverse-square
-coefficient q) and `parabolic_pair`.  `shifted_exponent` and
+coefficient q), `factor_principal_number` (one cylindrical or parabolic
+factor) and `parabolic_pair`.  `shifted_exponent` and
 `sector_potential` take a coupling with one factor f (`COUPLING_FACTOR`):
 4 for a 5D c_i at J or L, 2 for an 8D lam_i at T or K.
 
@@ -142,6 +143,11 @@ def oscillator_level(N, omega: float, hbar: float = 1.0):
     return 2.0 * hbar * omega * N
 
 
+def factor_principal_number(n, delta: float, z: float):
+    """n + (delta + z + 2)/2, one cylindrical or parabolic factor's principal number."""
+    return n + 0.5 * (delta + z + 2.0)
+
+
 def parabolic_pair(N1: float, N2: float, params: ModelParams) -> tuple[float, float, float]:
     """(kappa, lam_tilde, E) of the parabolic pair whose two factors have
     principal numbers N1 and N2: kappa = c0 / (hbar^2 (N1 + N2)), lam_tilde =
@@ -214,8 +220,9 @@ def angular_residual(
 ) -> float:
     """Max interior residual of the angular ODE on its closed-form solution.
 
-    lam counts z1+z2 plus the Jacobi degree; raises DomainError when the
-    implied degree lam - z1 - z2 is not a non-negative integer.
+    lam = m + z1 + z2 at Jacobi degree m, as `verify residuals --lam` reads it
+    (`duality.spectrum_identity_check`'s lam is m + (z1+z2)/2); raises
+    DomainError when the degree lam - z1 - z2 is not a non-negative integer.
     """
     import numpy as np
 
@@ -294,7 +301,8 @@ def parabolic_pair_parameters(
 ) -> tuple[float, float, float]:
     """(kappa, lam_tilde, E) of the quantized parabolic state (n1, n2)."""
     d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
-    return parabolic_pair(n1 + 0.5 * (d.delta1 + J + 2.0), n2 + 0.5 * (d.delta2 + L + 2.0), params)
+    return parabolic_pair(factor_principal_number(n1, d.delta1, J),
+                          factor_principal_number(n2, d.delta2, L), params)
 
 
 def parabolic_residual(
@@ -337,7 +345,7 @@ def cylindrical_residual(
     """Residual of one 4D-factor equation in the dimensionless variable."""
     d = shifted_exponent(2.0, coupling, z, hbar)
     a = 0.5 * (d + z)
-    e = n + 0.5 * (d + z + 2.0)
+    e = factor_principal_number(n, d, z)
     q = sector_potential(2.0, coupling, z, hbar)
     return _max_residual(
         RADIAL_EDGE, exp_cutoff(1.0, a + n, ENVELOPE_CUT), n_points,

@@ -15,16 +15,15 @@ eigenvalue is its vector's Rayleigh quotient in energy form.
 
 Each operator is solved in reduced units, hbar = omega = 1 (the angular ones
 see the couplings only as c_i / hbar^2 and lam_i / hbar^2), so the solver
-meets one problem for every physical scale; `EigenResult.scaled` then maps
-both arrays into physical units once, by the model's exact scale law.
-
-The two Coulomb-type 5D pictures are solved through their 8D duals.  The map
-x = y^2, chi = (2y)^(1/2) phi turns the 5D radial equation into the 8D radial
-one at Gamma = 4 Lambda, and each parabolic sector into a cylindrical sector
-at coupling 2 c_i / hbar^2; the Coulomb strength becomes the eigenvalue of
--phi'' + [a/y^2 + kappa^2 y^2] phi = nu phi.  That operator scales exactly,
-nu(kappa) = kappa nu(1), so one kappa-free solve per sector gives every level
-in closed form.
+meets one problem for every physical scale.  Six pictures run through two
+operators: `_angular_solve` serves both polar equations, and `_radial_solve(a)`
+the 2D oscillator -chi'' + [a/t^2 + t^2] chi = 4 N chi, a = l^2 - 1/4, for its
+principal numbers N.  Each radial-type picture reads a off its printed equation
+(Gamma + 35/4 in 8D, 4 Lambda + 35/4 in 5D under x = y^2, 4 q + 3/4 for a
+cylindrical or parabolic sector) and maps N to its levels once, by
+`EigenResult.scaled`; in 5D the Coulomb strength scales out, so there is no
+root search.  The domain depends on a alone: no solve reads the exponents that
+the closed-form oracles use.
 
 The closed-form oracles live next to the solvers (`*_oracle`) so callers can
 cross-check without going through the algebraic layer.
@@ -41,8 +40,8 @@ from .errors import ConvergenceFailure
 from .params import ModelParams
 from .specfun import (
     coulomb_energy, delta_exponents, effective_exponent, exp_cutoff, exponent_from_separation,
-    oscillator_level, parabolic_pair, parabolic_pair_parameters, sector_potential,
-    separation_constant, shifted_exponent,
+    factor_principal_number, oscillator_level, parabolic_pair, parabolic_pair_parameters,
+    sector_potential, separation_constant, shifted_exponent,
 )
 
 ENVELOPE_CUT = 1e-14
@@ -260,35 +259,46 @@ def _richardson_solve(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     return EigenResult(fine, rich)
 
 
+def _radial_solve(a: float, k: int, mesh: int) -> EigenResult:
+    """Principal numbers N of the lowest k levels of
+    -chi'' + [a/t^2 + t^2] chi = 4 N chi, a = l^2 - 1/4, on a domain that
+    holds level k's envelope x^(l/2 + 1/4) e^(-x/2) in x = t^2."""
+    x_max = exp_cutoff(1.0, 0.5 * math.sqrt(a + 0.25) + 0.25 + (k - 1), ENVELOPE_CUT)
+    problem = SturmLiouvilleProblem(inv_x2=a, quad=1.0, domain=(0.0, math.sqrt(x_max)),
+                                    mesh_size=mesh)
+    return _richardson_solve(problem, k).scaled(lambda nu: nu / 4.0)
+
+
+def _angular_solve(q1: float, q2: float, k: int, mesh: int) -> EigenResult:
+    # -chi'' + [3/4 csc^2 + 2 q2/(1-cos) + 2 q1/(1+cos) - 9/4] chi = sep * chi
+    problem = SturmLiouvilleProblem(csc2=0.75, inv_1m_cos=2.0 * q2, inv_1p_cos=2.0 * q1,
+                                    const=-2.25, domain=(0.0, math.pi), mesh_size=mesh)
+    return _richardson_solve(problem, k)
+
+
+def _check_scale(hbar: float, omega: float = 1.0) -> None:
+    """Reject an 8D hbar or omega that is not finite and positive, naming it."""
+    for name, value in (("hbar", hbar), ("omega", omega)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 # ----------------------------------------------------------------- 5D Kepler
 
 def kepler_radial_spectrum(
     lam: float, params: ModelParams, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k bound-state energies of the 5D radial equation at separation
-    constant lam >= 0.
-
-    Solved as the 8D radial equation at Gamma = 4 lam, hbar = omega = 1,
-    whose levels eps_n = 2 N_n carry the principal numbers N_n of the 5D
-    levels E_n = coulomb_energy(N_n).
-    """
+    constant lam >= 0: under x = y^2, chi = (2y)^(1/2) phi, the radial-type
+    operator at a = 4 lam + 35/4, with E_n = coulomb_energy(N_n)."""
     if lam < 0:
         raise ValueError(f"separation constant must be non-negative, got {lam}")
-    return oscillator_radial_spectrum(4.0 * lam, 1.0, 1.0, k, mesh).scaled(
-        lambda eps: coulomb_energy(eps / 2.0, params))
+    return _radial_solve(4.0 * lam + 35.0 / 4.0, k, mesh).scaled(
+        lambda N: coulomb_energy(N, params))
 
 
 def kepler_radial_oracle(lam: float, params: ModelParams, k: int = 5) -> np.ndarray:
     return coulomb_energy(np.arange(k) + exponent_from_separation(lam) + 2.0, params)
-
-
-def _angular_solve(q1: float, q2: float, k: int, mesh: int) -> EigenResult:
-    # -chi'' + [3/4 csc^2 + 2 q2/(1-cos) + 2 q1/(1+cos) - 9/4] chi = sep * chi
-    problem = SturmLiouvilleProblem(
-        csc2=0.75, inv_1m_cos=2.0 * q2, inv_1p_cos=2.0 * q1, const=-2.25,
-        domain=(0.0, math.pi), mesh_size=mesh,
-    )
-    return _richardson_solve(problem, k)
 
 
 def kepler_angular_spectrum(
@@ -312,28 +322,17 @@ def oscillator_radial_spectrum(
     gamma: float, omega: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k energies of the 8D radial equation at separation constant
-    gamma >= 0.
-
-    Solved at hbar = omega = 1: u = (hbar / omega)^(1/2) t takes the operator
-    to -chi'' + [(gamma + 35/4)/t^2 + t^2] chi = (2 E / (hbar omega)) chi.
-    """
-    if gamma < 0 or omega <= 0:
-        raise ValueError("gamma must be non-negative and omega positive")
-    g = exponent_from_separation(gamma / 4.0)  # gamma = 4 g (g + 3)
-    # Gaussian envelope exp(-t^2 / 2) = exp(-x / 2) in x = t^2
-    x_max = exp_cutoff(1.0, g + (k - 1) + 1.75, ENVELOPE_CUT)
-    # chi = t^(7/2) R(t)
-    problem = SturmLiouvilleProblem(
-        inv_x2=gamma + 35.0 / 4.0,
-        quad=1.0,
-        domain=(0.0, math.sqrt(x_max)),
-        mesh_size=mesh,
-    )
-    factor = hbar * omega / 2.0
-    return _richardson_solve(problem, k).scaled(lambda e: e * factor)
+    gamma >= 0: under u = (hbar / omega)^(1/2) t, chi = t^(7/2) R, the
+    radial-type operator at a = gamma + 35/4."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    _check_scale(hbar, omega)
+    return _radial_solve(gamma + 35.0 / 4.0, k, mesh).scaled(
+        lambda N: oscillator_level(N, omega, hbar))
 
 
 def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: int = 5) -> np.ndarray:
+    _check_scale(hbar, omega)
     g = exponent_from_separation(gamma / 4.0)
     return oscillator_level(np.arange(k) + g + 2.0, omega, hbar)
 
@@ -344,6 +343,7 @@ def oscillator_angular_spectrum(
     """Lowest k values of Gamma for the 8D polar equation at labels (T, K)."""
     if T < 0 or K < 0 or lam1 < 0 or lam2 < 0:
         raise ValueError("labels and couplings must be non-negative")
+    _check_scale(hbar)
     return _angular_solve(sector_potential(2.0, lam1, T, hbar),
                           sector_potential(2.0, lam2, K, hbar), k, mesh).scaled(lambda g: 4.0 * g)
 
@@ -351,43 +351,29 @@ def oscillator_angular_spectrum(
 def oscillator_angular_oracle(
     T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
+    _check_scale(hbar)
     d = delta_exponents("oscillator", (lam1, lam2), T, K, hbar)
     return 4.0 * separation_constant(effective_exponent(np.arange(k), T, K, d))
-
-
-def cylindrical_problem(
-    z: float, lam_coupling: float, hbar: float, k: int, mesh: int
-) -> SturmLiouvilleProblem:
-    """One 4D cylindrical sector at hbar = omega = 1, chi = t^(3/2) f(t) with
-    rho = (hbar / omega)^(1/2) t, on a domain that holds the lowest k levels.
-    hbar enters only through the coupling ratio lam_coupling / hbar^2."""
-    ratio = lam_coupling / hbar ** 2
-    d = shifted_exponent(2.0, ratio, z)
-    x_max = exp_cutoff(1.0, 0.5 * (d + z) + (k - 1) + 0.75, ENVELOPE_CUT)
-    return SturmLiouvilleProblem(
-        inv_x2=4.0 * sector_potential(2.0, ratio, z) + 0.75,
-        quad=1.0,
-        domain=(0.0, math.sqrt(x_max)),
-        mesh_size=mesh,
-    )
 
 
 def cylindrical_spectrum(
     z: float, lam_coupling: float, omega: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
-    """Lowest k single-factor energies of one 4D cylindrical sector."""
-    if z < 0 or lam_coupling < 0 or omega <= 0:
-        raise ValueError("z, lam_coupling must be non-negative and omega positive")
-    problem = cylindrical_problem(z, lam_coupling, hbar, k, mesh)
-    factor = hbar * omega / 2.0
-    return _richardson_solve(problem, k).scaled(lambda e: e * factor)
+    """Lowest k single-factor energies of one 4D cylindrical sector, the
+    radial-type operator at a = 4 q + 3/4 under rho = (hbar / omega)^(1/2) t."""
+    if z < 0 or lam_coupling < 0:
+        raise ValueError("z and lam_coupling must be non-negative")
+    _check_scale(hbar, omega)
+    a = 4.0 * sector_potential(2.0, lam_coupling, z, hbar) + 0.75
+    return _radial_solve(a, k, mesh).scaled(lambda N: oscillator_level(N, omega, hbar))
 
 
 def cylindrical_oracle(
     z: float, lam_coupling: float, omega: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
+    _check_scale(hbar, omega)
     d = shifted_exponent(2.0, lam_coupling, z, hbar)
-    return oscillator_level(np.arange(k) + 0.5 * (d + z + 2.0), omega, hbar)
+    return oscillator_level(factor_principal_number(np.arange(k), d, z), omega, hbar)
 
 
 # ------------------------------------------------------------ parabolic pair
@@ -407,21 +393,18 @@ def parabolic_quantization(
     """Quantized parabolic states: for each node pair n1 + n2 <= n_max, the
     kappa at which the sector separation constants satisfy xi1 + xi2 = 0.
 
-    Under x = y^2 sector i is the cylindrical sector at coupling
-    2 c_i / hbar^2 (hbar = omega = 1) with eigenvalue
-    4 (xi_i + c0 / (2 hbar^2)) = kappa nu^i, nu^i = 2 eps^i = 4 N_i, so
-    the pair is `parabolic_pair(N1, N2)` at the factor principal numbers
-    N_i = eps^i / 2 of the sector spectra, Richardson-extrapolated over
-    (mesh, 2*mesh).
+    Under x = y^2 sector i is the radial-type operator at a = 4 q_i + 3/4
+    (q_i at f = 4) with eigenvalue 4 (xi_i + c0 / (2 hbar^2)) = 4 kappa N_i,
+    so the pair is `parabolic_pair(N1, N2)` at the factor principal numbers
+    N_i, Richardson-extrapolated over (mesh, 2*mesh).
     """
     if J < 0 or L < 0:
         raise ValueError("J and L must be non-negative")
-    hb2 = params.hbar ** 2
     if n_max < 0:
         return []
-    sector1 = cylindrical_spectrum(J, 2.0 * params.c1 / hb2, 1.0, 1.0, n_max + 1, mesh)
-    sector2 = cylindrical_spectrum(L, 2.0 * params.c2 / hb2, 1.0, 1.0, n_max + 1, mesh)
-    N1, N2 = sector1.richardson / 2.0, sector2.richardson / 2.0
+    N1, N2 = (_radial_solve(4.0 * sector_potential(4.0, c, z, params.hbar) + 0.75,
+                            n_max + 1, mesh).richardson
+              for c, z in ((params.c1, J), (params.c2, L)))
     levels = []
     for n1, n2 in ((i, s - i) for s in range(n_max + 1) for i in range(s + 1)):
         kappa, lam_tilde, energy = parabolic_pair(N1[n1], N2[n2], params)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from monopole_spectra import ModelParams, spectra
+from monopole_spectra import ModelParams, cli, spectra
 from monopole_spectra.cli import ODE_RTOL, relative_errors
 from monopole_spectra.errors import ConvergenceFailure
 from monopole_spectra.spectra import (
     SturmLiouvilleProblem,
     cylindrical_oracle,
-    cylindrical_problem,
     cylindrical_spectrum,
     kepler_angular_oracle,
     kepler_angular_spectrum,
@@ -180,13 +179,16 @@ class TestParabolic:
 
 
 class TestParabolicNodeCounts:
-    def test_index_equals_node_count(self):
+    def test_index_equals_node_count(self, monkeypatch):
         """The n-th eigenfunction of the mapped sector operator (the
-        cylindrical sector at coupling 2 c_i / hbar^2) has n interior sign
+        radial-type operator at a = 4 q + 3/4, q at f = 4) has n interior sign
         changes, so indexing the sector spectrum is the node-count labelling."""
         from scipy.linalg import eigh_tridiagonal
 
-        prob = cylindrical_problem(0.5, 2.0 * 0.7, 1.0, 4, 1200)
+        solves = TestRefinement.solves(monkeypatch, lambda: parabolic_quantization(
+            0.5, 0.0, ModelParams(1.0, 0.7), n_max=3, mesh=1200))
+        prob = solves[0][0]
+        assert prob.inv_x2 == 4.0 * (0.5 * 1.5 + 0.7) + 0.75
         diag, off, _, _ = spectra._tridiagonal(prob, prob.mesh_size)
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
         for idx in range(4):
@@ -274,6 +276,64 @@ class TestExactScaling8D:
         for base, scaled in (kepler, osc):
             np.testing.assert_allclose(scaled, base, rtol=1e-13, atol=0)
 
+
+class TestScaleValidation:
+    """The 8D solvers and their oracles reject an hbar that is not positive
+    and an hbar or omega that is not finite, naming the value."""
+
+    CALLS = {
+        "osc-radial": lambda w, h: oscillator_radial_spectrum(12.0, w, h, 3, 500),
+        "osc-radial-oracle": lambda w, h: oscillator_radial_oracle(12.0, w, h, 3),
+        "cylindrical": lambda w, h: cylindrical_spectrum(1.0, 2.5, w, h, 3, 500),
+        "cylindrical-oracle": lambda w, h: cylindrical_oracle(1.0, 2.5, w, h, 3),
+        "osc-angular": lambda w, h: oscillator_angular_spectrum(0.5, 0.0, 2.0, 1.0, h, 3, 500),
+        "osc-angular-oracle": lambda w, h: oscillator_angular_oracle(0.5, 0.0, 2.0, 1.0, h, 3),
+    }
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_rejects_hbar(self, call, hbar):
+        with pytest.raises(ValueError, match=f"^hbar must be finite and positive, got {hbar!r}$"):
+            self.CALLS[call](1.3, hbar)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [c for c in CALLS if "angular" not in c])
+    def test_rejects_omega(self, call, omega):
+        with pytest.raises(ValueError, match=f"^omega must be finite and positive, got {omega!r}$"):
+            self.CALLS[call](omega, 0.8)
+
+
+class TestIndependentOfClosedForms:
+    """The radial-type solves read only the coefficient of the printed
+    equation, never the closed-form exponents the oracles use: shifting those
+    exponents leaves every solve bitwise as it was, and fails the oracle
+    comparison."""
+
+    RUNS = {
+        "kepler-radial": lambda: kepler_radial_spectrum(1.3, TestRefinement.P, 5, 2000).richardson,
+        "osc-radial": lambda: oscillator_radial_spectrum(12.0, 1.3, 0.8, 5, 2000).richardson,
+        "cylindrical": lambda: cylindrical_spectrum(1.0, 2.5, 0.7, 1.1, 5, 2000).richardson,
+        "parabolic": lambda: [l.energy for l in parabolic_quantization(
+            0.5, 1.0, TestRefinement.P, n_max=2, mesh=2000)],
+    }
+
+    @staticmethod
+    def shift_exponents(monkeypatch):
+        for name in ("shifted_exponent", "exponent_from_separation"):
+            real = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name,
+                                lambda *args, real=real, **kw: real(*args, **kw) + 1e-3)
+
+    @pytest.mark.parametrize("picture", list(RUNS))
+    def test_solve_ignores_the_exponents(self, picture, monkeypatch):
+        base = self.RUNS[picture]()
+        self.shift_exponents(monkeypatch)
+        assert np.array_equal(self.RUNS[picture](), base)
+
+    def test_shifted_oracle_fails_the_ode_check(self, monkeypatch, capsys):
+        assert cli.main(["verify", "ode", "--picture", "cylindrical"]) == 0
+        self.shift_exponents(monkeypatch)
+        assert cli.main(["verify", "ode", "--picture", "cylindrical"]) == 4
 
 
 def bisection(problem, k, n):
