@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NegativeRadicand, NonNegativeEnergy, PositivityViolation
-from .params import AuxExponents, ModelParams, QuantumNumbers, So6Labels
+from .params import (
+    AuxExponents, ModelParams, QuantumNumbers, So6Labels, require_non_negative, require_positive,
+)
 from .specfun import coulomb_energy
 
 if TYPE_CHECKING:
@@ -38,12 +40,15 @@ def aux_exponents(params: ModelParams, qn: QuantumNumbers) -> AuxExponents:
     """Auxiliary exponents m1, m2 of the sector (params, qn).
 
     Raises NegativeRadicand when the second radicand turns negative
-    (large T at small l4 and c2: no unitary sector of this kind).
+    (large T at small l4 and c2: no unitary sector of this kind), and
+    OverflowError when a radicand leaves the floating-point range.
     """
     lsq = qn.lsq(params.hbar)
     tsq = qn.tsq(params.hbar)
     r1 = 1.0 + 2.0 * params.c1 + lsq + 2.0 * tsq
     r2 = 1.0 + 2.0 * params.c2 + lsq - 2.0 * tsq
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise OverflowError(f"radicands (m1^2, m2^2) = ({r1}, {r2}) are not finite")
     if r1 < 0 or r2 < 0:
         raise NegativeRadicand(
             f"radicands (m1^2, m2^2) = ({r1}, {r2}) must both be non-negative"
@@ -124,8 +129,7 @@ def structure_function_factored(
 
 def energy_level(p: int, m: AuxExponents, params: ModelParams) -> float:
     """Bound-state energy of the (p+1)-dimensional representation."""
-    if p < 0:
-        raise ValueError(f"p must be a non-negative integer, got {p}")
+    require_non_negative(p=p)
     return coulomb_energy(p + 1.0 + 0.5 * (m.m1 + m.m2), params)
 
 
@@ -159,8 +163,7 @@ def solve_unirrep(
     """
     import numpy as np
 
-    if p < 0:
-        raise ValueError(f"p must be a non-negative integer, got {p}")
+    require_non_negative(p=p)
     m = aux_exponents(params, qn)
     s1, s2 = _PAIRING_SIGNS[root_pairing]
     u = 0.5 * (1.0 + s1 * m.m1 + s2 * m.m2)
@@ -205,17 +208,14 @@ def so6_casimir_eigenvalues(labels: So6Labels) -> tuple[float, float, float]:
 
 def ycm_energy(n: int, params: ModelParams) -> float:
     """Energy of the undeformed monopole system at level n (c0 linear)."""
-    if n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
+    require_non_negative(n=n)
     return -params.c0 / (2.0 * params.hbar ** 2 * (0.5 * n + 2.0) ** 2)
 
 
 def degeneracy_count(p: int, J: float, L: float) -> int:
     """Number of (n, lambda) fillings of level p with lambda >= J+L."""
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if J < 0 or L < 0:
-        raise ValueError("J and L must be non-negative")
+    require_positive(p=p)
+    require_non_negative(J=J, L=L)
     return max(0, p - math.ceil(J + L - 1e-12))
 
 

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__, algebra, duality, specfun
 from .errors import ConvergenceFailure, MonopoleSpectraError
-from .params import ModelParams, QuantumNumbers
+from .params import ModelParams, QuantumNumbers, require_non_negative
 
 if TYPE_CHECKING:
     import numpy as np
@@ -240,8 +240,7 @@ def spectrum_kepler5d(v: dict) -> tuple[list, list]:
 
 def spectrum_osc8d(v: dict) -> tuple[list, list]:
     omega, hbar, T, K = v["omega"], v["hbar"], v["T"], v["K"]
-    if v["lambda1"] < 0 or v["lambda2"] < 0 or T < 0 or K < 0:
-        raise ValueError("couplings and labels must be non-negative")
+    require_non_negative(lambda1=v["lambda1"], lambda2=v["lambda2"], T=T, K=K)
     d = specfun.delta_exponents("oscillator", (v["lambda1"], v["lambda2"]), T, K, hbar)
     results = []
     for s in range(v["levels"]):

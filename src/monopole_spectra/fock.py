@@ -83,8 +83,6 @@ class GeneratorMatrices:
     d: np.ndarray
     o: np.ndarray
     c: np.ndarray
-    diag_form: str
-    rho_form: str
 
     @property
     def A(self) -> np.ndarray:
@@ -191,7 +189,7 @@ def build_generators(
     m1sq_minus_m2sq = 2.0 * (params.c1 - params.c2) + 4.0 * rep.tsq_scalar
     d = _diag_part(t, params, rep.tsq_scalar, m1sq_minus_m2sq, diag_form)
     o = _rho(t[:-1], rho_form) * rep.ladder_sub
-    return GeneratorMatrices(a, d, o, (a[:-1] - a[1:]) * o, diag_form, rho_form)
+    return GeneratorMatrices(a, d, o, (a[:-1] - a[1:]) * o)
 
 
 def _maxabs(*bands: np.ndarray) -> float:

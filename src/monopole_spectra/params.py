@@ -1,7 +1,10 @@
 """Model parameters and quantum-number labels.
 
 All containers are frozen dataclasses validated on construction; functions
-elsewhere in the package assume the invariants enforced here.
+elsewhere in the package assume the invariants enforced here.  Every label,
+coupling and scale in the package is checked by `require_positive` or
+`require_non_negative`, one chained comparison per value, so NaN and +-inf
+fail too.
 """
 from __future__ import annotations
 
@@ -11,6 +14,20 @@ from dataclasses import dataclass
 from .errors import OrderingViolation
 
 HALF_INT_TOL = 1e-9
+
+
+def require_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and > 0."""
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
+def require_non_negative(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and >= 0."""
+    for name, v in values.items():
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
 
 
 def is_half_integer(x: float, tol: float = HALF_INT_TOL) -> bool:
@@ -31,16 +48,8 @@ class ModelParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c0", "c1", "c2", "hbar"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.c0 <= 0:
-            raise ValueError(f"c0 must be strictly positive, got {self.c0}")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("c1 and c2 must be non-negative")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be strictly positive, got {self.hbar}")
+        require_positive(c0=self.c0, hbar=self.hbar)
+        require_non_negative(c1=self.c1, c2=self.c2)
 
 
 @dataclass(frozen=True)
@@ -55,10 +64,9 @@ class QuantumNumbers:
     T: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.l4) and self.l4 >= 0):
-            raise ValueError(f"l4 must be a non-negative real, got {self.l4}")
-        if self.T < 0 or not is_half_integer(self.T):
-            raise ValueError(f"T must be a non-negative half-integer, got {self.T}")
+        require_non_negative(l4=self.l4, T=self.T)
+        if not is_half_integer(self.T):
+            raise ValueError(f"T must be a half-integer, got {self.T}")
 
     def lsq(self, hbar: float = 1.0) -> float:
         return hbar * hbar * self.l4 * (self.l4 + 2.0)
@@ -76,8 +84,7 @@ class AuxExponents:
     m2: float
 
     def __post_init__(self) -> None:
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError("auxiliary exponents must be non-negative")
+        require_non_negative(m1=self.m1, m2=self.m2)
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,11 @@ class So6Labels:
     mu3: float
 
     def __post_init__(self) -> None:
+        require_non_negative(mu1=self.mu1, mu2=self.mu2, mu3=self.mu3)
         for name in ("mu1", "mu2", "mu3"):
             v = getattr(self, name)
-            if v < 0 or not is_half_integer(v):
-                raise ValueError(f"{name} must be a non-negative half-integer, got {v}")
+            if not is_half_integer(v):
+                raise ValueError(f"{name} must be a half-integer, got {v}")
         if not (self.mu1 >= self.mu2 >= self.mu3):
             raise OrderingViolation(
                 f"labels must satisfy mu1 >= mu2 >= mu3, got "

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, ParameterPole
-from .params import ModelParams
+from .params import ModelParams, require_non_negative
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,7 +81,6 @@ def kummer_poly(n: int, b: float, x: float) -> float:
 class DeltaExponents:
     delta1: float
     delta2: float
-    variant: str
 
 
 # f of a coupling per variant: its shift is f * coupling / hbar^2 under the root
@@ -109,13 +108,11 @@ def delta_exponents(
     """Coupling-shifted exponents of the angular/radial closed forms:
     "kepler" (f = 4, labels (J, L)) or "oscillator" (f = 2, labels (T, K))."""
     c1, c2 = couplings
-    if c1 < 0 or c2 < 0:
-        raise ValueError("couplings must be non-negative")
+    require_non_negative(c1=c1, c2=c2)
     if variant not in COUPLING_FACTOR:
         raise ValueError(f"unknown variant {variant!r}")
     f = COUPLING_FACTOR[variant]
-    return DeltaExponents(
-        shifted_exponent(f, c1, z1, hbar), shifted_exponent(f, c2, z2, hbar), variant)
+    return DeltaExponents(shifted_exponent(f, c1, z1, hbar), shifted_exponent(f, c2, z2, hbar))
 
 
 def separation_constant(lam_eff: float) -> float:

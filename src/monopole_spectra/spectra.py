@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .params import ModelParams
+from .params import ModelParams, require_non_negative, require_positive
 from .specfun import (
     coulomb_energy, delta_exponents, effective_exponent, exp_cutoff, exponent_from_separation,
     factor_principal_number, oscillator_level, parabolic_pair, parabolic_pair_parameters,
@@ -276,13 +276,6 @@ def _angular_solve(q1: float, q2: float, k: int, mesh: int) -> EigenResult:
     return _richardson_solve(problem, k)
 
 
-def _check_scale(hbar: float, omega: float = 1.0) -> None:
-    """Reject an 8D hbar or omega that is not finite and positive, naming it."""
-    for name, value in (("hbar", hbar), ("omega", omega)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 # ----------------------------------------------------------------- 5D Kepler
 
 def kepler_radial_spectrum(
@@ -291,8 +284,7 @@ def kepler_radial_spectrum(
     """Lowest k bound-state energies of the 5D radial equation at separation
     constant lam >= 0: under x = y^2, chi = (2y)^(1/2) phi, the radial-type
     operator at a = 4 lam + 35/4, with E_n = coulomb_energy(N_n)."""
-    if lam < 0:
-        raise ValueError(f"separation constant must be non-negative, got {lam}")
+    require_non_negative(lam=lam)
     return _radial_solve(4.0 * lam + 35.0 / 4.0, k, mesh).scaled(
         lambda N: coulomb_energy(N, params))
 
@@ -305,8 +297,7 @@ def kepler_angular_spectrum(
     J: float, L: float, params: ModelParams, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k separation constants of the polar equation at labels (J, L)."""
-    if J < 0 or L < 0:
-        raise ValueError("J and L must be non-negative")
+    require_non_negative(J=J, L=L)
     return _angular_solve(sector_potential(4.0, params.c1, J, params.hbar),
                           sector_potential(4.0, params.c2, L, params.hbar), k, mesh)
 
@@ -324,15 +315,14 @@ def oscillator_radial_spectrum(
     """Lowest k energies of the 8D radial equation at separation constant
     gamma >= 0: under u = (hbar / omega)^(1/2) t, chi = t^(7/2) R, the
     radial-type operator at a = gamma + 35/4."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    _check_scale(hbar, omega)
+    require_non_negative(gamma=gamma)
+    require_positive(hbar=hbar, omega=omega)
     return _radial_solve(gamma + 35.0 / 4.0, k, mesh).scaled(
         lambda N: oscillator_level(N, omega, hbar))
 
 
 def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: int = 5) -> np.ndarray:
-    _check_scale(hbar, omega)
+    require_positive(hbar=hbar, omega=omega)
     g = exponent_from_separation(gamma / 4.0)
     return oscillator_level(np.arange(k) + g + 2.0, omega, hbar)
 
@@ -341,9 +331,8 @@ def oscillator_angular_spectrum(
     T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k values of Gamma for the 8D polar equation at labels (T, K)."""
-    if T < 0 or K < 0 or lam1 < 0 or lam2 < 0:
-        raise ValueError("labels and couplings must be non-negative")
-    _check_scale(hbar)
+    require_non_negative(T=T, K=K, lam1=lam1, lam2=lam2)
+    require_positive(hbar=hbar)
     return _angular_solve(sector_potential(2.0, lam1, T, hbar),
                           sector_potential(2.0, lam2, K, hbar), k, mesh).scaled(lambda g: 4.0 * g)
 
@@ -351,7 +340,7 @@ def oscillator_angular_spectrum(
 def oscillator_angular_oracle(
     T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
-    _check_scale(hbar)
+    require_positive(hbar=hbar)
     d = delta_exponents("oscillator", (lam1, lam2), T, K, hbar)
     return 4.0 * separation_constant(effective_exponent(np.arange(k), T, K, d))
 
@@ -361,9 +350,8 @@ def cylindrical_spectrum(
 ) -> EigenResult:
     """Lowest k single-factor energies of one 4D cylindrical sector, the
     radial-type operator at a = 4 q + 3/4 under rho = (hbar / omega)^(1/2) t."""
-    if z < 0 or lam_coupling < 0:
-        raise ValueError("z and lam_coupling must be non-negative")
-    _check_scale(hbar, omega)
+    require_non_negative(z=z, lam_coupling=lam_coupling)
+    require_positive(hbar=hbar, omega=omega)
     a = 4.0 * sector_potential(2.0, lam_coupling, z, hbar) + 0.75
     return _radial_solve(a, k, mesh).scaled(lambda N: oscillator_level(N, omega, hbar))
 
@@ -371,7 +359,7 @@ def cylindrical_spectrum(
 def cylindrical_oracle(
     z: float, lam_coupling: float, omega: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
-    _check_scale(hbar, omega)
+    require_positive(hbar=hbar, omega=omega)
     d = shifted_exponent(2.0, lam_coupling, z, hbar)
     return oscillator_level(factor_principal_number(np.arange(k), d, z), omega, hbar)
 
@@ -398,8 +386,7 @@ def parabolic_quantization(
     so the pair is `parabolic_pair(N1, N2)` at the factor principal numbers
     N_i, Richardson-extrapolated over (mesh, 2*mesh).
     """
-    if J < 0 or L < 0:
-        raise ValueError("J and L must be non-negative")
+    require_non_negative(J=J, L=L)
     if n_max < 0:
         return []
     N1, N2 = (_radial_solve(4.0 * sector_potential(4.0, c, z, params.hbar) + 0.75,

@@ -268,7 +268,7 @@ class TestInputBoundary:
     def test_negative_parabolic_label_exit_2(self, capsys):
         code = main(["verify", "ode", "--picture", "parabolic", "--J", "-1"])
         assert code == 2
-        assert "J and L" in capsys.readouterr().err
+        assert "J must be finite and non-negative, got -1.0" in capsys.readouterr().err
 
     def test_zero_levels_exit_2(self, capsys):
         # one `levels` declaration: spectrum osc8d rejects what verify ode does
