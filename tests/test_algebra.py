@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,33 @@ class TestValidation:
             QuantumNumbers(l4=-1)
         with pytest.raises(ValueError):
             QuantumNumbers(T=0.3)
+
+    # name -> (what it must be, the constructor or function with x in its place)
+    RULE = {
+        "c0": ("positive", lambda x: ModelParams(c0=x)),
+        "hbar": ("positive", lambda x: ModelParams(1.0, hbar=x)),
+        "c1": ("non-negative", lambda x: ModelParams(1.0, c1=x)),
+        "c2": ("non-negative", lambda x: ModelParams(1.0, c2=x)),
+        "l4": ("non-negative", lambda x: QuantumNumbers(l4=x)),
+        "T": ("non-negative", lambda x: QuantumNumbers(T=x)),
+        "m1": ("non-negative", lambda x: AuxExponents(x, 0.0)),
+        "m2": ("non-negative", lambda x: AuxExponents(0.0, x)),
+        "energy_level p": ("non-negative", lambda x: energy_level(x, AuxExponents(0.0, 0.0), UNIT)),
+        "solve_unirrep p": ("non-negative", lambda x: solve_unirrep(x, UNIT, ZERO)),
+        "n": ("non-negative", lambda x: ycm_energy(x, UNIT)),
+        "degeneracy_count p": ("positive", lambda x: degeneracy_count(x, 0.0, 0.0)),
+        "J": ("non-negative", lambda x: degeneracy_count(2, x, 0.0)),
+        "L": ("non-negative", lambda x: degeneracy_count(2, 0.0, x)),
+    }
+    CASES = [(name, value) for name, (kind, _) in RULE.items()
+             for value in ([0.0] if kind == "positive" else []) + [-1.0, math.nan, math.inf, -math.inf]]
+
+    @pytest.mark.parametrize("name, value", CASES)
+    def test_one_rule_names_the_value(self, name, value):
+        kind, call = self.RULE[name]
+        message = f"^{name.split()[-1]} must be finite and {kind}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
 
 
 @settings(max_examples=200, deadline=None)

@@ -287,6 +287,8 @@ class TestInputBoundary:
         ("verify ode --picture cylindrical --hbar 1e-300", "verify ode --picture cylindrical"),
         ("verify algebra --hbar 1e+300 --l4 1e+150", "verify algebra"),
         ("spectrum osc8d --hbar 1e-300 --lambda1 1", "spectrum osc8d"),
+        # l4 (l4 + 2) overflows, so m1 is not finite: no table of -0 energies
+        ("spectrum kepler5d --c2 1e-300 --l4 1e+300 --T 1", "spectrum kepler5d"),
     ])
     def test_arithmetic_out_of_range_exit_2(self, argv, label, capsys):
         # finite flags whose arithmetic overflows or divides by an underflow

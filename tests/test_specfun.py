@@ -139,6 +139,14 @@ class TestDeltaExponents:
         d = delta_exponents("oscillator", (4.0, 0.0), 0.5, 0.0)
         assert d.delta1 == pytest.approx(math.sqrt(12) - 1.5, rel=1e-14)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("variant", sorted(COUPLING_FACTOR))
+    def test_rejects_coupling(self, variant, value):
+        for name, couplings in (("c1", (value, 0.0)), ("c2", (0.0, value))):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be finite and non-negative, got {value!r}$"):
+                delta_exponents(variant, couplings, 0.5, 0.5)
+
     @settings(max_examples=100, deadline=None)
     @given(
         c=st.floats(min_value=0.0, max_value=50.0),

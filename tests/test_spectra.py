@@ -279,7 +279,8 @@ class TestExactScaling8D:
 
 class TestScaleValidation:
     """The 8D solvers and their oracles reject an hbar that is not positive
-    and an hbar or omega that is not finite, naming the value."""
+    and an hbar or omega that is not finite, and every solver rejects a label
+    or coupling that is negative or not finite, naming the value."""
 
     CALLS = {
         "osc-radial": lambda w, h: oscillator_radial_spectrum(12.0, w, h, 3, 500),
@@ -290,17 +291,41 @@ class TestScaleValidation:
         "osc-angular-oracle": lambda w, h: oscillator_angular_oracle(0.5, 0.0, 2.0, 1.0, h, 3),
     }
 
-    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("call", list(CALLS))
     def test_rejects_hbar(self, call, hbar):
         with pytest.raises(ValueError, match=f"^hbar must be finite and positive, got {hbar!r}$"):
             self.CALLS[call](1.3, hbar)
 
-    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("call", [c for c in CALLS if "angular" not in c])
     def test_rejects_omega(self, call, omega):
         with pytest.raises(ValueError, match=f"^omega must be finite and positive, got {omega!r}$"):
             self.CALLS[call](omega, 0.8)
+
+    # label or coupling name -> the solver called with x in its place
+    LABELS = {
+        "lam": lambda x: kepler_radial_spectrum(x, UNIT, 3, 500),
+        "J": lambda x: kepler_angular_spectrum(x, 0.5, UNIT, 3, 500),
+        "L": lambda x: kepler_angular_spectrum(0.5, x, UNIT, 3, 500),
+        "gamma": lambda x: oscillator_radial_spectrum(x, 1.0, 1.0, 3, 500),
+        "T": lambda x: oscillator_angular_spectrum(x, 0.0, 2.0, 1.0, 1.0, 3, 500),
+        "K": lambda x: oscillator_angular_spectrum(0.5, x, 2.0, 1.0, 1.0, 3, 500),
+        "lam1": lambda x: oscillator_angular_spectrum(0.5, 0.0, x, 1.0, 1.0, 3, 500),
+        "lam2": lambda x: oscillator_angular_spectrum(0.5, 0.0, 2.0, x, 1.0, 3, 500),
+        "z": lambda x: cylindrical_spectrum(x, 2.5, 1.0, 1.0, 3, 500),
+        "lam_coupling": lambda x: cylindrical_spectrum(1.0, x, 1.0, 1.0, 3, 500),
+        "parabolic J": lambda x: parabolic_quantization(x, 0.0, UNIT, 1, 500),
+        "parabolic L": lambda x: parabolic_quantization(0.0, x, UNIT, 1, 500),
+    }
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("label", list(LABELS))
+    def test_rejects_label(self, label, value):
+        name = label.split()[-1]
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and non-negative, got {value!r}$"):
+            self.LABELS[label](value)
 
 
 class TestIndependentOfClosedForms:
