@@ -2,15 +2,16 @@
 
 Every equation is brought to symmetric Sturm-Liouville form, so the
 discretized operator is a real symmetric tridiagonal matrix.  Each spectrum is
-computed on meshes (N, 2N) and Richardson-extrapolated.  LAPACK bisection
-and inverse iteration (scipy's eigh_tridiagonal, imported on the first solve)
-give the lowest k eigenpairs on a coarse mesh of 64 points per level.
+computed on the nested meshes (N, 2N+1), whose step halves exactly, and
+Richardson-extrapolated.  LAPACK bisection and inverse iteration (scipy's
+eigh_tridiagonal, imported on the first solve) give the lowest k eigenpairs
+on a coarse mesh of 64 points per level.
 Interpolated onto N, each vector is polished there at its coarse value until
 the Rayleigh quotient settles; the last solve's residual gives each level an
 interval, and disjoint intervals with a Sturm count of exactly k below the top
 one certify the lowest k levels on N.  Should the coarse mesh fail or the
 certificate not hold, LAPACK solves on N itself.  One solve from each N vector,
-interpolated onto 2N and shifted at the N value, gives the one on 2N.  Each
+interpolated onto 2N+1 and shifted at the N value, gives the one on 2N+1.  Each
 eigenvalue is its vector's Rayleigh quotient in energy form.
 
 Each operator is solved in reduced units, hbar = omega = 1 (the angular ones
@@ -247,14 +248,14 @@ def _refine(
 def _richardson_solve(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     n = problem.mesh_size
     coarse, vectors = _levels(problem, k, n)
-    fine = _refine(problem, coarse, vectors, 2 * n)
+    fine = _refine(problem, coarse, vectors, 2 * n + 1)
     rich = (4.0 * fine - coarse) / 3.0
     delta = _relative(fine, rich)
     if not np.all(delta <= CONV_TOL):
         worst = int(np.argmax(delta))
         raise ConvergenceFailure(
             f"level {worst}: relative Richardson delta {delta[worst]:.3g} exceeds "
-            f"conv_tol={CONV_TOL} on meshes ({n}, {2 * n})"
+            f"conv_tol={CONV_TOL} on meshes ({n}, {2 * n + 1})"
         )
     return EigenResult(fine, rich)
 
@@ -384,7 +385,7 @@ def parabolic_quantization(
     Under x = y^2 sector i is the radial-type operator at a = 4 q_i + 3/4
     (q_i at f = 4) with eigenvalue 4 (xi_i + c0 / (2 hbar^2)) = 4 kappa N_i,
     so the pair is `parabolic_pair(N1, N2)` at the factor principal numbers
-    N_i, Richardson-extrapolated over (mesh, 2*mesh).
+    N_i, Richardson-extrapolated over (mesh, 2*mesh + 1).
     """
     require_non_negative(J=J, L=L)
     if n_max < 0:

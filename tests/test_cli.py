@@ -505,7 +505,7 @@ class TestParameterTables:
         err = capsys.readouterr().err
         assert code == 3
         assert "level " in err and "Richardson delta" in err
-        assert "conv_tol=0.001" in err and f"({mesh}, {2 * mesh})" in err
+        assert "conv_tol=0.001" in err and f"({mesh}, {2 * mesh + 1})" in err
 
 
 def readme_cli_commands():
