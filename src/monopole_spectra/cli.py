@@ -43,6 +43,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -510,7 +511,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"{label} does not read {', '.join(unread)}")
         values = {p.name: resolve(p, args, cfg) for p in decls}
         fmt, out = (resolve(p, args, cfg) for p in OUTPUT)
-        results, checks = run(values)
+        with warnings.catch_warnings():
+            # a value beyond the float range propagates as inf or nan, and a
+            # check that measured one exits 3 below: the warning adds nothing
+            warnings.simplefilter("ignore", RuntimeWarning)
+            results, checks = run(values)
         undecided = [c["name"] for c in checks if not math.isfinite(c["measured"])]
         if undecided:
             print(f"error: {label}: {', '.join(undecided)} measured a non-finite value, "

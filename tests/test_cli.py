@@ -1,14 +1,18 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monopole_spectra.cli import main
+from monopole_spectra.cli import COMMANDS, Pictures, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -310,6 +314,42 @@ class TestInputBoundary:
         assert code == 3
         assert captured.out == ""
         assert f"{check_name} measured a non-finite value" in captured.err
+
+
+# the float values the boundary property test draws each declared float from
+EXTREMES = (0.0, -1.0, 1e-300, 1e-12, 0.5, 1.0, 7.25, 1e6, 1e150, 1e300)
+
+
+def command_tables():
+    """(argv prefix, declared parameters) of every command and picture."""
+    for group, commands in COMMANDS.items():
+        for name, entry in commands.items():
+            if isinstance(entry, Pictures):
+                for picture in entry.table:
+                    yield [group, name, "--picture", picture], entry.plan(picture)[0]
+            else:
+                yield [group, name], entry[0]
+
+
+@pytest.mark.parametrize("prefix, decls", list(command_tables()),
+                         ids=lambda x: " ".join(x) if isinstance(x[0], str) else "")
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_float_input_ends_in_a_documented_exit(prefix, decls, data):
+    """Whatever finite value each declared float takes, from an underflow to
+    an overflow, `main` raises nothing, exits 0, 2, 3 or 4, and no check it
+    prints measured a non-finite value (ints keep their defaults)."""
+    argv = list(prefix)
+    for p in decls:
+        if p.type is float:
+            value = data.draw(st.sampled_from(EXTREMES), label=p.name)
+            argv += ["--" + p.name.replace("_", "-"), repr(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if out.getvalue():
+        assert all(math.isfinite(c["measured"]) for c in json.loads(out.getvalue())["checks"])
 
 
 class TestCoulombPicturesThroughOscillator:
