@@ -512,8 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         values = {p.name: resolve(p, args, cfg) for p in decls}
         fmt, out = (resolve(p, args, cfg) for p in OUTPUT)
         with warnings.catch_warnings():
-            # a value beyond the float range propagates as inf or nan, and a
-            # check that measured one exits 3 below: the warning adds nothing
+            # a value beyond the float range ends as inf or nan: exit 3 below
             warnings.simplefilter("ignore", RuntimeWarning)
             results, checks = run(values)
         undecided = [c["name"] for c in checks if not math.isfinite(c["measured"])]

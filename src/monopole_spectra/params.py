@@ -2,9 +2,8 @@
 
 All containers are frozen dataclasses validated on construction; functions
 elsewhere in the package assume the invariants enforced here.  Every label,
-coupling and scale in the package is checked by `require_positive` or
-`require_non_negative`, one chained comparison per value, so NaN and +-inf
-fail too.
+coupling and scale in the package goes through `require_positive` or
+`require_non_negative`, which reject NaN and +-inf too.
 """
 from __future__ import annotations
 
