@@ -324,15 +324,14 @@ def command_tables():
     """(argv prefix, declared parameters) of every command and picture."""
     for group, commands in COMMANDS.items():
         for name, entry in commands.items():
-            if isinstance(entry, Pictures):
-                for picture in entry.table:
-                    yield [group, name, "--picture", picture], entry.plan(picture)[0]
-            else:
-                yield [group, name], entry[0]
+            tables = ({picture: entry.plan(picture)[0] for picture in entry.table}
+                      if isinstance(entry, Pictures) else {None: entry[0]})
+            for picture, decls in tables.items():
+                prefix = [group, name] + (["--picture", picture] if picture else [])
+                yield pytest.param(prefix, decls, id=" ".join(prefix))
 
 
-@pytest.mark.parametrize("prefix, decls", list(command_tables()),
-                         ids=lambda x: " ".join(x) if isinstance(x[0], str) else "")
+@pytest.mark.parametrize("prefix, decls", list(command_tables()))
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_every_float_input_ends_in_a_documented_exit(prefix, decls, data):
