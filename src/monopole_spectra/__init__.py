@@ -21,7 +21,7 @@ _EXPORTS = {
     "duality": ("kepler_from_oscillator", "oscillator_from_kepler", "spectrum_identity_check"),
     "fock": (
         "AlgebraReport", "DeformedOscillatorRep", "GeneratorMatrices", "build_generators",
-        "build_rep", "casimir_check", "verify_algebra",
+        "build_rep", "verify_algebra",
     ),
     "params": ("AuxExponents", "ModelParams", "QuantumNumbers", "So6Labels"),
     "specfun": ("DeltaExponents", "delta_exponents", "jacobi_p", "kummer_poly"),

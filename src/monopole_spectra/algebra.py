@@ -144,49 +144,32 @@ class UnirrepSolution:
     phi_interior: tuple[float, ...]
 
 
-# u-roots tried by solve_unirrep, canonical one first
-_PAIRING_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def solve_unirrep(
-    p: int,
-    params: ModelParams,
-    qn: QuantumNumbers,
-    root_pairing: int = 0,
-) -> UnirrepSolution:
+def solve_unirrep(p: int, params: ModelParams, qn: QuantumNumbers) -> UnirrepSolution:
     """Solve the two boundary constraints for (u, E) and check positivity.
 
-    The canonical pairing (root_pairing=0) places the root (1+m1+m2)/2 at
-    x = 0 and the upper Coulomb root at x = p+1, which reproduces
-    `energy_level`.  The other pairings (1..3) use the remaining roots for u;
-    they are provided for exhaustive searches and fail the positivity check.
+    The root (1+m1+m2)/2 of the structure function sits at x = 0 and the
+    upper Coulomb root at x = p+1, which reproduces `energy_level`; with
+    u >= 1/2 every other root lies outside (0, p+1).
     """
     import numpy as np
 
     require_non_negative(p=p)
     m = aux_exponents(params, qn)
-    s1, s2 = _PAIRING_SIGNS[root_pairing]
-    u = 0.5 * (1.0 + s1 * m.m1 + s2 * m.m2)
-    if p + 0.5 + u <= 0.0:
-        raise PositivityViolation(
-            f"pairing {root_pairing}: upper boundary root has no E < 0 branch"
-        )
-    E = energy_level(p, m, params) if root_pairing == 0 else coulomb_energy(p + 0.5 + u, params)
+    u = 0.5 * (1.0 + m.m1 + m.m2)
+    E = energy_level(p, m, params)
 
     # the printed structure function lives in hbar = 1 units
     e_alg = E * params.hbar ** 2
 
     # the ladder points x = 1..p, and a sign probe at the half-integers
-    # 1/2..p+1/2 that catches pairings whose zeros sit between them
+    # 1/2..p+1/2 that catches a zero between them
     first, second, first_size, second_size = _structure_factors(
         0.5 * np.arange(1.0, 2.0 * p + 2.0), u, e_alg, params, qn)
     # each value is judged against the rounding size of its own evaluation,
     # so the test does not depend on p or on how large the other values are
     if (first * second <= POSITIVITY_MARGIN * first_size * second_size).any():
         raise PositivityViolation(
-            f"structure function not strictly positive on (0, {p + 1}) for "
-            f"u={u}, E={E} (pairing {root_pairing})"
-        )
+            f"structure function not strictly positive on (0, {p + 1}) for u={u}, E={E}")
     phi = 98304.0 * first[1::2] * second[1::2]
     return UnirrepSolution(p=p, u=u, E=E, phi_interior=tuple(phi))
 
@@ -218,15 +201,3 @@ def degeneracy_count(p: int, J: float, L: float) -> int:
     require_non_negative(J=J, L=L)
     return max(0, p - math.ceil(J + L - 1e-12))
 
-
-def raw_polynomial_coefficients(
-    u: float, E: float, params: ModelParams, qn: QuantumNumbers
-) -> np.ndarray:
-    """Coefficients (ascending) of the raw form as a polynomial in x,
-    recovered by interpolation at seven nodes; exact for a degree-6
-    polynomial up to rounding."""
-    import numpy as np
-
-    xs = np.linspace(-3.0, 3.0, 7)
-    ys = [structure_function_raw(x, u, E, params, qn) for x in xs]
-    return np.polynomial.polynomial.polyfit(xs, ys, 6)

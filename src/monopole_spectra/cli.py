@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__, algebra, duality, specfun
 from .errors import ConvergenceFailure, MonopoleSpectraError
-from .params import ModelParams, QuantumNumbers, require_non_negative
+from .params import ModelParams, QuantumNumbers, require_non_negative, require_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -182,9 +182,9 @@ class Param(NamedTuple):
 
 C0 = Param("c0", float, 1.0)
 COUPLINGS = [Param("c1", float, 0.0), Param("c2", float, 0.0)]
-HBAR = Param("hbar", float, 1.0, above=0.0)
+HBAR = Param("hbar", float, 1.0)
 MODEL = [C0, *COUPLINGS, HBAR]
-OMEGA = Param("omega", float, 1.0, above=0.0)
+OMEGA = Param("omega", float, 1.0)
 LAMBDAS = [Param("lambda1", float, 0.0), Param("lambda2", float, 0.0)]
 T = Param("T", float, 0.0)
 L4_T = [Param("l4", float, 0.0), T]               # algebraic sector labels
@@ -241,6 +241,7 @@ def spectrum_kepler5d(v: dict) -> tuple[list, list]:
 
 def spectrum_osc8d(v: dict) -> tuple[list, list]:
     omega, hbar, T, K = v["omega"], v["hbar"], v["T"], v["K"]
+    require_positive(omega=omega, hbar=hbar)
     require_non_negative(lambda1=v["lambda1"], lambda2=v["lambda2"], T=T, K=K)
     d = specfun.delta_exponents("oscillator", (v["lambda1"], v["lambda2"]), T, K, hbar)
     results = []

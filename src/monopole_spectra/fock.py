@@ -10,19 +10,12 @@ with g1 = -2 c0 (c1 - c2) - 4 c0 T2 and
 g2 = (16 - 4 c1 - 4 c2 - 4 L2) H + 2 c0^2, where H, L2, T2 are the scalar
 values of the central elements on the representation.
 
-Two printed-source conventions do not close the algebra and are kept around
-as measurable alternatives (see `build_generators`):
-
-* diagonal part of B: the closing form is c0*(m1^2-m2^2)/4 / ((n+u)^2-1/4);
-  the "printed" variant doubles the (c1-c2) contribution,
-* off-diagonal weight rho: the closing form satisfies
-  rho^2 = 1 / (3*2^20 (n+u)(1+n+u)(1+2(n+u))^2); the "printed" variant reads
-  the whole expression as rho with the square on (n+u)^2 inside the brace.
-
-`verify_algebra` measures residuals rather than assuming any convention: it
-reports the commutation residuals under both printed sign conventions for the
-linear-in-B constant and fits a single scalar rescale of rho (which is 1 up
-to rounding for the closing form, and cannot repair the printed one).
+One realization closes it (see `build_generators`).  The paper's printed
+diagonal part, off-diagonal weight and Casimir coefficients do not; they are
+kept as test data in tests/test_fock.py, where `verify_algebra` measures
+them.  `verify_algebra` assumes no convention: it reports the commutation
+residual under both signs of the linear-in-B constant and fits a single
+scalar rescale of the off-diagonal weight (1 up to rounding here).
 
 A is diagonal and B tridiagonal, so every product in the relations and the
 Casimir lies within two diagonals of the main one.  The generators are held
@@ -59,51 +52,17 @@ class DeformedOscillatorRep:
     lsq_scalar: float
     tsq_scalar: float
 
-    def number_op(self) -> np.ndarray:
-        return np.diag(self.number_diag)
-
-    def lowering(self) -> np.ndarray:
-        """b with b|n> = sqrt(Phi(n)) |n-1>."""
-        b = np.zeros((self.dim, self.dim))
-        idx = np.arange(self.dim - 1)
-        b[idx, idx + 1] = self.ladder_sub
-        return b
-
-    def raising(self) -> np.ndarray:
-        return self.lowering().T
-
 
 @dataclass(frozen=True)
 class GeneratorMatrices:
     """The generator triple as bands: A = diag(a); B symmetric tridiagonal
     with diagonal d and off-diagonal o; C = [A, B] antisymmetric with
-    C[n, n+1] = c[n] = -C[n+1, n].  A, B and C are dense views."""
+    C[n, n+1] = c[n] = -C[n+1, n]."""
 
     a: np.ndarray
     d: np.ndarray
     o: np.ndarray
     c: np.ndarray
-
-    @property
-    def A(self) -> np.ndarray:
-        return np.diag(self.a)
-
-    @property
-    def B(self) -> np.ndarray:
-        return _dense(self.d, self.o)
-
-    @property
-    def C(self) -> np.ndarray:
-        return np.diag(self.c, 1) - np.diag(self.c, -1)
-
-
-def _dense(diag: np.ndarray, *upper: np.ndarray) -> np.ndarray:
-    """Symmetric matrix from its diagonal and its bands above it."""
-    m = np.diag(diag)
-    for k, band in enumerate(upper, 1):
-        i = np.arange(diag.size - k)
-        m[i, i + k] = m[i + k, i] = band
-    return m
 
 
 def _tridiagonal_product_diag(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -153,42 +112,24 @@ def build_rep(
     )
 
 
-def _diag_part(
-    t: np.ndarray, params: ModelParams, tsq: float, m1sq_minus_m2sq: float, form: str
-) -> np.ndarray:
+def build_generators(
+    rep: DeformedOscillatorRep, params: ModelParams, qn: QuantumNumbers
+) -> GeneratorMatrices:
+    """Banded A (diagonal), B (symmetric tridiagonal) and C = [A, B].
+
+    At t = n + u: A = t^2 - 9/4; B's diagonal is
+    c0 (m1^2 - m2^2) / (4 (t^2 - 1/4)) and its off-diagonal rho(t) sqrt(Phi),
+    with rho^2 = 1 / (3 2^20 t (t+1) (1+2t)^2).
+    """
+    t = rep.number_diag + rep.u
+    a = t * t - 2.25
     denom = t * t - 0.25
     if (np.abs(denom) < 1e-12).any():
         raise DiagonalPole("(n+u)^2 = 1/4 for some level")
-    if form == "closure":
-        num = params.c0 * m1sq_minus_m2sq / 4.0
-    elif form == "printed":
-        num = params.c0 * (params.c1 - params.c2) + params.c0 * tsq
-    else:
-        raise ValueError(f"unknown diag_form {form!r}")
-    return num / denom
-
-
-def _rho(t: np.ndarray, form: str) -> np.ndarray:
-    if form == "closure":
-        return 1.0 / np.sqrt(RHO_CONSTANT * t * (t + 1.0) * (1.0 + 2.0 * t) ** 2)
-    if form == "printed":
-        return 1.0 / (RHO_CONSTANT * t * (t + 1.0) * (1.0 + 2.0 * t * t))
-    raise ValueError(f"unknown rho_form {form!r}")
-
-
-def build_generators(
-    rep: DeformedOscillatorRep,
-    params: ModelParams,
-    qn: QuantumNumbers,
-    diag_form: str = "closure",
-    rho_form: str = "closure",
-) -> GeneratorMatrices:
-    """Banded A (diagonal), B (symmetric tridiagonal) and C = [A, B]."""
-    t = rep.number_diag + rep.u
-    a = t * t - 2.25
     m1sq_minus_m2sq = 2.0 * (params.c1 - params.c2) + 4.0 * rep.tsq_scalar
-    d = _diag_part(t, params, rep.tsq_scalar, m1sq_minus_m2sq, diag_form)
-    o = _rho(t[:-1], rho_form) * rep.ladder_sub
+    d = params.c0 * m1sq_minus_m2sq / 4.0 / denom
+    tl = t[:-1]
+    o = 1.0 / np.sqrt(RHO_CONSTANT * tl * (tl + 1.0) * (1.0 + 2.0 * tl) ** 2) * rep.ladder_sub
     return GeneratorMatrices(a, d, o, (a[:-1] - a[1:]) * o)
 
 
@@ -202,25 +143,6 @@ def _c_magnitude(gen: GeneratorMatrices) -> np.ndarray:
     """(|a_n| + |a_{n+1}|) |o_n|: c_n = (a_n - a_{n+1}) o_n is known only to
     eps times this magnitude, however far a_n - a_{n+1} cancels."""
     return (np.abs(gen.a[:-1]) + np.abs(gen.a[1:])) * np.abs(gen.o)
-
-
-def _g1_constants(params: ModelParams, tsq: float) -> tuple[float, float]:
-    """Linear-in-B constants: (commutation-relation form, Casimir-implied form)."""
-    g1 = -2.0 * params.c0 * (params.c1 - params.c2) - 4.0 * params.c0 * tsq
-    g1_alt = -4.0 * params.c0 * (params.c1 - params.c2) - 4.0 * params.c0 * tsq
-    return g1, g1_alt
-
-
-def _g2_constant(params: ModelParams, h: float, lsq: float) -> float:
-    return (16.0 - 4.0 * params.c1 - 4.0 * params.c2 - 4.0 * lsq) * h + 2.0 * params.c0 ** 2
-
-
-def _b_square(gen: GeneratorMatrices) -> tuple[np.ndarray, ...]:
-    """D^2, {D, O} (band 1) and O^2 (diagonal, band 2), the pieces of
-    B_s^2 = D^2 + s {D, O} + s^2 O^2 for B_s = D + s O."""
-    d, o = gen.d, gen.o
-    o2 = o * o
-    return d * d, (d[:-1] + d[1:]) * o, _tridiagonal_product_diag(o2, o2), o[:-1] * o[1:]
 
 
 def verify_algebra(
@@ -239,8 +161,11 @@ def verify_algebra(
     """
     a, d, o, c = gen.a, gen.d, gen.o, gen.c
     h = rep.energy_scalar
-    g1, g1_alt = _g1_constants(params, rep.tsq_scalar)
-    g2 = _g2_constant(params, h, rep.lsq_scalar)
+    c0, c12, tsq = params.c0, params.c1 - params.c2, rep.tsq_scalar
+    # the linear-in-B constant, and its variant implied by the printed Casimir
+    g1 = -2.0 * c0 * c12 - 4.0 * c0 * tsq
+    g1_alt = -4.0 * c0 * c12 - 4.0 * c0 * tsq
+    g2 = (16.0 - 4.0 * params.c1 - 4.0 * params.c2 - 4.0 * rep.lsq_scalar) * h + 2.0 * c0 ** 2
     # [A, X] and {A, X} on band 1 scale X's band by these
     a_diff, a_sum = a[:-1] - a[1:], a[:-1] + a[1:]
 
@@ -262,8 +187,12 @@ def verify_algebra(
 
     # the q3 residual is r0 + s r1 + s^2 r2 at the rho rescale s, with
     # B_s = D + s O and C_s = s C1: r0 = 2D^2 - 8HA - g2 (diagonal),
-    # r1 = [D, C1] + 2{D, O} (band 1), r2 = [O, C1] + 2O^2 (diagonal, band 2)
-    dd, do, oo0, oo2 = _b_square(gen)
+    # r1 = [D, C1] + 2{D, O} (band 1), r2 = [O, C1] + 2O^2 (diagonal, band 2);
+    # B_s^2 = D^2 + s {D, O} + s^2 O^2 has D^2 = dd, {D, O} = do (band 1)
+    # and O^2 = oo0 (diagonal), oo2 (band 2)
+    o2 = o * o
+    dd, do = d * d, (d[:-1] + d[1:]) * o
+    oo0, oo2 = _tridiagonal_product_diag(o2, o2), o[:-1] * o[1:]
     dc = (d[:-1] - d[1:]) * c
     oc = o * c
     oc0 = 2.0 * _tridiagonal_product_diag(oc, -oc)
@@ -305,8 +234,8 @@ def verify_algebra(
     s_fit = min((s for s, (cost, _) in evals.items() if cost <= best * (1.0 + 1e-6) + 1e-300),
                 key=lambda s: abs(s - 1.0))
 
-    terms = _casimir_terms(gen, rep, params, s_fit, "closure", (dd, do, oo0, oo2))
-    offdiag, scalar_mismatch = _casimir_measures(terms, gen, rep, params, s_fit)
+    offdiag, scalar_mismatch = _casimir_measures(
+        gen, rep, params, s_fit, -2.0 * g1, 2.0 * g2, (dd, do, oo0, oo2))
     return AlgebraReport(
         residual_q1=q1,
         residual_q2=q2_at(g1),
@@ -332,92 +261,43 @@ def casimir_scalar(params: ModelParams, h: float, lsq: float, tsq: float) -> flo
     )
 
 
-def _casimir_terms(
+def _casimir_measures(
     gen: GeneratorMatrices,
     rep: DeformedOscillatorRep,
     params: ModelParams,
-    rho_scale: float,
-    coefficients: str,
+    s: float,
+    cb: float,
+    ca: float,
     b_square: tuple[np.ndarray, ...],
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Terms of the Casimir at B_s = D + s O, s = rho_scale, as (diagonal,
-    band 1, band 2) lists; C_s = s C1 and B_s^2 comes from `_b_square`."""
+) -> tuple[float, float]:
+    """(largest off-diagonal entry of the Casimir relative to the magnitudes
+    of its terms, largest diagonal deviation from `casimir_scalar` relative to
+    the largest term) at B_s = D + s O and C_s = s C1, with coefficient cb on
+    B and ca on A; b_square holds the pieces of B_s^2."""
     a, d, o, c = gen.a, gen.d, gen.o, gen.c
     h = rep.energy_scalar
-    tsq, lsq = rep.tsq_scalar, rep.lsq_scalar
-    g1, _ = _g1_constants(params, tsq)
-    if coefficients == "closure":
-        cb = -2.0 * g1
-        ca = 2.0 * _g2_constant(params, h, lsq)
-    elif coefficients == "printed":
-        cb = -2.0 * (4.0 * params.c0 * (params.c2 - params.c1) - 4.0 * params.c0 * tsq)
-        ca = 2.0 * (
-            (16.0 - 8.0 * params.c1 - 8.0 * params.c2) * h - 4.0 * lsq * h
-            + 2.0 * params.c0 ** 2
-        )
-    else:
-        raise ValueError(f"unknown coefficients {coefficients!r}")
-    s, s2 = rho_scale, rho_scale * rho_scale
+    s2 = s * s
     dd, do, oo0, oo2 = b_square
     b2_0, b2_1, b2_2 = dd + s2 * oo0, s * do, s2 * oo2
     c2 = c * c
     # C_s^2, -2{A, B_s^2}, -4 B_s^2, cb B_s, 8H A^2, ca A, band by band
-    diag = [-s2 * _tridiagonal_product_diag(c2, c2), -4.0 * a * b2_0, -4.0 * b2_0,
-            cb * d, 8.0 * h * (a * a), ca * a]
-    band1 = [-2.0 * (a[:-1] + a[1:]) * b2_1, -4.0 * b2_1, (cb * s) * o]
-    band2 = [s2 * (c[:-1] * c[1:]), -2.0 * (a[:-2] + a[2:]) * b2_2, -4.0 * b2_2]
-    return diag, band1, band2
-
-
-def casimir_matrix(
-    gen: GeneratorMatrices,
-    rep: DeformedOscillatorRep,
-    params: ModelParams,
-    rho_scale: float = 1.0,
-    coefficients: str = "closure",
-) -> np.ndarray:
-    """Cubic Casimir combination of the generators, as a dense matrix.
-
-    coefficients="closure" ties the linear coefficients to the commutation
-    constants (-2 g1 on B, 2 g2 on A); "printed" uses the doubled coupling
-    terms of the printed operator form.
-    """
-    terms = _casimir_terms(gen, rep, params, rho_scale, coefficients, _b_square(gen))
-    return _dense(*(sum(band[1:], band[0]) for band in terms))
-
-
-def _casimir_measures(
-    terms: tuple[list[np.ndarray], ...],
-    gen: GeneratorMatrices,
-    rep: DeformedOscillatorRep,
-    params: ModelParams,
-    rho_scale: float,
-) -> tuple[float, float]:
+    terms = (
+        [-s2 * _tridiagonal_product_diag(c2, c2), -4.0 * a * b2_0, -4.0 * b2_0,
+         cb * d, 8.0 * h * (a * a), ca * a],
+        [-2.0 * (a[:-1] + a[1:]) * b2_1, -4.0 * b2_1, (cb * s) * o],
+        [s2 * (c[:-1] * c[1:]), -2.0 * (a[:-2] + a[2:]) * b2_2, -4.0 * b2_2],
+    )
     diag, band1, band2 = (sum(band[1:], band[0]) for band in terms)
-    k_scalar = casimir_scalar(params, rep.energy_scalar, rep.lsq_scalar, rep.tsq_scalar)
+    k_scalar = casimir_scalar(params, h, rep.lsq_scalar, rep.tsq_scalar)
     scale = max(abs(k_scalar), _maxabs(*terms[0], *terms[1], *terms[2]), 1e-300)
     # each off-diagonal entry is measured against the summed magnitudes of
     # its terms; band 2's first term, C_s^2 = s^2 c_n c_{n+1}, counts c's
     # rounding magnitude for each factor in turn
-    abs_c = np.abs(gen.c)
+    abs_c = np.abs(c)
     c_mag = _c_magnitude(gen)
     mag1 = sum(np.abs(t) for t in terms[1])
-    mag2 = (rho_scale ** 2 * (c_mag[:-1] * abs_c[1:] + abs_c[:-1] * c_mag[1:])
+    mag2 = (s ** 2 * (c_mag[:-1] * abs_c[1:] + abs_c[:-1] * c_mag[1:])
             + sum(np.abs(t) for t in terms[2][1:]))
     offdiag = max(_maxabs(band1 / np.maximum(mag1, 1e-300)),
                   _maxabs(band2 / np.maximum(mag2, 1e-300)))
     return offdiag, _maxabs(diag - k_scalar) / scale
-
-
-def casimir_check(
-    gen: GeneratorMatrices,
-    rep: DeformedOscillatorRep,
-    params: ModelParams,
-    qn: QuantumNumbers,
-    rho_scale: float = 1.0,
-    coefficients: str = "closure",
-) -> tuple[float, float]:
-    """(largest off-diagonal entry relative to the magnitudes of its terms,
-    max diagonal deviation from the scalar Casimir, relative)."""
-    terms = _casimir_terms(gen, rep, params, rho_scale, coefficients, _b_square(gen))
-    return _casimir_measures(terms, gen, rep, params, rho_scale)

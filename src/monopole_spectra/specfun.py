@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, ParameterPole
-from .params import ModelParams, require_non_negative
+from .params import ModelParams, require_non_negative, require_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,6 +223,7 @@ def angular_residual(
     """
     import numpy as np
 
+    require_positive(hbar=hbar)
     mf = lam - z1 - z2
     m = round(mf)
     if mf < -1e-9 or abs(mf - m) > 1e-9:
@@ -282,6 +283,7 @@ def oscillator_radial_residual(
     n_points: int = 2001,
 ) -> float:
     """Residual of the 8D radial equation; Gamma = 4*lam_eff*(lam_eff+3)."""
+    require_positive(omega=omega, hbar=hbar)
     kappa = omega / hbar
     eps = oscillator_level(n + lam_eff + 2.0, omega, hbar)
     gamma = 4.0 * separation_constant(lam_eff)
@@ -340,6 +342,7 @@ def cylindrical_residual(
     n_points: int = 2001,
 ) -> float:
     """Residual of one 4D-factor equation in the dimensionless variable."""
+    require_positive(hbar=hbar)
     d = shifted_exponent(2.0, coupling, z, hbar)
     a = 0.5 * (d + z)
     e = factor_principal_number(n, d, z)

@@ -22,13 +22,7 @@ from monopole_spectra import (
     structure_function_raw,
     ycm_energy,
 )
-from monopole_spectra.algebra import raw_polynomial_coefficients
-from monopole_spectra.errors import (
-    NegativeRadicand,
-    NonNegativeEnergy,
-    OrderingViolation,
-    PositivityViolation,
-)
+from monopole_spectra.errors import NegativeRadicand, NonNegativeEnergy, OrderingViolation
 
 ZERO = QuantumNumbers()
 UNIT = ModelParams(c0=1.0)
@@ -113,7 +107,10 @@ class TestStructureFunction:
         params, qn = ModelParams(1.0, 1.5, 0.5), QuantumNumbers(l4=1, T=0.5)
         m = aux_exponents(params, qn)
         u, e = 0.9, -0.21
-        coeffs = raw_polynomial_coefficients(u, e, params, qn)
+        # a degree-6 polynomial through 7 nodes is exact up to rounding
+        xs = np.linspace(-3.0, 3.0, 7)
+        coeffs = np.polynomial.polynomial.polyfit(
+            xs, structure_function_raw(xs, u, e, params, qn), 6)
         got = np.sort_complex(np.roots(coeffs[::-1]))
         want = np.sort_complex(factored_roots(e, m, params) - u)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
@@ -160,13 +157,18 @@ class TestSolveUnirrep:
         sol = solve_unirrep(5000, params, qn)
         assert len(sol.phi_interior) == 5000 and min(sol.phi_interior) > 0.0
 
-    def test_alternative_pairing_rejected(self):
-        with pytest.raises(PositivityViolation):
-            solve_unirrep(2, UNIT, ZERO, root_pairing=1)
-
-    def test_alternative_pairing_rejected_p0(self):
-        with pytest.raises(PositivityViolation):
-            solve_unirrep(0, UNIT, ZERO, root_pairing=3)
+    @pytest.mark.parametrize("s1, s2", [(1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_other_roots_give_no_unirrep(self, s1, s2, p):
+        """Taking u from one of the other roots (1 +- m1 +- m2)/2 leaves either
+        no E < 0 upper root at x = p+1, or a structure-function value <= 0 at
+        a half-integer 1/2..p+1/2."""
+        m = aux_exponents(UNIT, ZERO)
+        u = 0.5 * (1.0 + s1 * m.m1 + s2 * m.m2)
+        n = p + 0.5 + u  # the Coulomb root 1/2 + n sits at x = p+1
+        if n > 0:
+            e = -UNIT.c0 ** 2 / (2.0 * n ** 2)
+            assert (structure_function_raw(np.arange(p + 1) + 0.5, u, e, UNIT, ZERO) <= 0).any()
 
     def test_negative_radicand_propagates(self):
         with pytest.raises(NegativeRadicand):

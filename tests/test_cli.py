@@ -403,7 +403,7 @@ PUBLIC = """
     factored_roots solve_unirrep so6_casimir_eigenvalues structure_function_factored
     structure_function_raw ycm_energy kepler_from_oscillator oscillator_from_kepler
     spectrum_identity_check AlgebraReport DeformedOscillatorRep GeneratorMatrices
-    build_generators build_rep casimir_check verify_algebra AuxExponents ModelParams
+    build_generators build_rep verify_algebra AuxExponents ModelParams
     QuantumNumbers So6Labels DeltaExponents delta_exponents jacobi_p kummer_poly
     EigenResult SturmLiouvilleProblem cylindrical_spectrum kepler_angular_spectrum
     kepler_radial_spectrum oscillator_angular_spectrum oscillator_radial_spectrum
@@ -433,9 +433,30 @@ def config_file(tmp_path, text):
     return str(cfg)
 
 
+def non_positive_scales():
+    """Each command and picture that reads hbar or omega, with that flag at a
+    zero or negative value, and the validator's message it must print."""
+    for case in command_tables():
+        prefix, decls = case.values
+        for flag, value in (("hbar", "0"), ("hbar", "-1"), ("omega", "0")):
+            if any(p.name == flag for p in decls):
+                argv = prefix + [f"--{flag}", value]
+                yield pytest.param(argv, f"{flag} must be finite and positive, got {float(value)!r}",
+                                   id=" ".join(argv))
+
+
 class TestParameterTables:
     """Each parameter is declared once; flags, config parsing, checks and
     the params echo all come from the declaration."""
+
+    @pytest.mark.parametrize("argv, message", list(non_positive_scales()))
+    def test_non_positive_scale_exit_2(self, argv, message, capsys):
+        # hbar and omega go through the one positivity rule, as c0 does
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_config_choice_is_checked(self, tmp_path, capsys):
         code = main(["verify", "duality", "--config", config_file(tmp_path, "grid = bogus\n")])

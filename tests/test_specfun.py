@@ -259,3 +259,23 @@ class TestRadialResiduals:
         fine = kepler_radial_residual(2, 1.8, ModelParams(1.0, 1.0, 1.0), n_points=2001)
         order = math.log2(coarse / fine)
         assert 3.0 <= order <= 5.0
+
+
+class TestResidualScales:
+    # the residuals that take hbar or omega directly, called with (omega, hbar)
+    CALLS = {
+        "angular": lambda w, h: angular_residual("kepler_hyperspherical", 1, 0.0, 0.0, hbar=h),
+        "osc-radial": lambda w, h: oscillator_radial_residual(0, 0.0, w, h),
+        "cylindrical": lambda w, h: cylindrical_residual(1, 0.0, 0.0, h),
+    }
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_rejects_hbar(self, call, hbar):
+        with pytest.raises(ValueError, match=f"^hbar must be finite and positive, got {hbar!r}$"):
+            self.CALLS[call](1.3, hbar)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_oscillator_rejects_omega(self, omega):
+        with pytest.raises(ValueError, match=f"^omega must be finite and positive, got {omega!r}$"):
+            self.CALLS["osc-radial"](omega, 0.8)
