@@ -190,9 +190,9 @@ def so6_casimir_eigenvalues(labels: So6Labels) -> tuple[float, float, float]:
 
 
 def ycm_energy(n: int, params: ModelParams) -> float:
-    """Energy of the undeformed monopole system at level n (c0 linear)."""
+    """Energy of the undeformed monopole system at level n: `coulomb_energy` at N = n/2 + 2."""
     require_non_negative(n=n)
-    return -params.c0 / (2.0 * params.hbar ** 2 * (0.5 * n + 2.0) ** 2)
+    return coulomb_energy(0.5 * n + 2.0, params)
 
 
 def degeneracy_count(p: int, J: float, L: float) -> int:

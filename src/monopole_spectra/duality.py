@@ -10,19 +10,18 @@ The level identifications used by `spectrum_identity_check`:
 
 with the picture exponents substituted for the algebraic auxiliary exponents.
 The 8D pictures reach the 5D energy through `kepler_from_oscillator` itself,
-so the check tests that map as well as the level formulas.  The substitution
-is exact as a formula identity; whether a picture sector (J, L) shares its
-exponents with an algebraic sector (l4, T) is a separate question answered
-by `enumerate_delta_m_matches`.
+so the check tests that map as well as the level formulas.  The check is a
+formula identity: it does not say which algebraic sector (l4, T) a picture
+sector (J, L) belongs to.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .algebra import aux_exponents, energy_level
-from .errors import NegativeRadicand, NonNegativeEnergy
-from .params import AuxExponents, ModelParams, QuantumNumbers
+from .algebra import energy_level
+from .errors import NonNegativeEnergy
+from .params import AuxExponents, ModelParams
 from .specfun import coulomb_energy, delta_exponents, effective_exponent, oscillator_level
 
 
@@ -67,18 +66,16 @@ _PICTURES = {
 }
 
 
-def spectrum_identity_check(
-    picture: str, labels: dict, params: ModelParams, omega: float = 1.0
-) -> IdentityReport:
+def spectrum_identity_check(picture: str, labels: dict, params: ModelParams) -> IdentityReport:
     """Compare a picture's closed-form energy against the algebraic master
     formula under the stated level identification.
 
     labels: hyperspherical/euler need n, lam = m + (J+L)/2 (or m + (T+K)/2,
     m the angular degree) plus (J, L) or (T, K); parabolic/cylindrical need
     n1, n2 plus the pair labels.  An 8D picture (euler, cylindrical) takes its
-    level at the supplied oscillator frequency and the couplings lam_i = 2 c_i,
-    maps it to its 5D dual through `kepler_from_oscillator`, and scales that
-    dual to params.c0 by E ~ c0^2: the caller's omega only seeds the chain.
+    level at omega = 1 and the couplings lam_i = 2 c_i, maps it to its 5D
+    dual through `kepler_from_oscillator`, and scales that dual to params.c0
+    by E ~ c0^2.
     """
     if picture not in _PICTURES:
         raise ValueError(f"unknown picture {picture!r}")
@@ -99,7 +96,7 @@ def spectrum_identity_check(
         e_pic = coulomb_energy(N, params)
     else:
         c0, e_dual, _, _ = kepler_from_oscillator(
-            oscillator_level(N, omega, params.hbar), omega, *couplings)
+            oscillator_level(N, 1.0, params.hbar), 1.0, *couplings)
         e_pic = e_dual * (params.c0 / c0) ** 2
     e_alg = energy_level(p, AuxExponents(d.delta1, d.delta2), params)
     rel = abs(e_pic - e_alg) / max(abs(e_alg), 1e-300)
@@ -107,56 +104,3 @@ def spectrum_identity_check(
         picture=picture, labels=dict(labels), p=p,
         e_picture=e_pic, e_algebraic=e_alg, rel_diff=rel,
     )
-
-
-@dataclass(frozen=True)
-class DeltaMatch:
-    J: float
-    L: float
-    l4: float
-    T: float
-    delta1: float
-    delta2: float
-    m1: float
-    m2: float
-    matches: bool
-
-
-def delta_m_match(
-    params: ModelParams, J: float, L: float, l4: float, T: float, tol: float = 1e-10
-) -> DeltaMatch:
-    """Does the picture sector (J, L) share its exponents with the algebraic
-    sector (l4, T) at these couplings?"""
-    d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
-    try:
-        m = aux_exponents(params, QuantumNumbers(l4=l4, T=T))
-        m1, m2 = m.m1, m.m2
-        ok = abs(d.delta1 - m1) <= tol and abs(d.delta2 - m2) <= tol
-    except NegativeRadicand:
-        m1 = m2 = float("nan")
-        ok = False
-    return DeltaMatch(J, L, l4, T, d.delta1, d.delta2, m1, m2, ok)
-
-
-def enumerate_delta_m_matches(
-    params: ModelParams,
-    z_max: float = 3.0,
-    l4_max: float = 4.0,
-    tol: float = 1e-10,
-) -> tuple[list[DeltaMatch], list[DeltaMatch]]:
-    """Scan half-integer (J, L) x (l4, T) tuples; return (matched, excluded).
-
-    Matches are sparse: the two exponent families coincide only where the
-    squared expressions happen to agree, which is exactly what the check is
-    for.
-    """
-    half_steps = [0.5 * i for i in range(int(2 * z_max) + 1)]
-    l4_steps = [0.5 * i for i in range(int(2 * l4_max) + 1)]
-    matched, excluded = [], []
-    for J in half_steps:
-        for L in half_steps:
-            for l4 in l4_steps:
-                for T in half_steps:
-                    r = delta_m_match(params, J, L, l4, T, tol)
-                    (matched if r.matches else excluded).append(r)
-    return matched, excluded

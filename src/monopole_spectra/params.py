@@ -29,8 +29,8 @@ def require_non_negative(**values: float) -> None:
             raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
 
 
-def is_half_integer(x: float, tol: float = HALF_INT_TOL) -> bool:
-    return abs(2.0 * x - round(2.0 * x)) <= tol
+def is_half_integer(x: float) -> bool:
+    return abs(2.0 * x - round(2.0 * x)) <= HALF_INT_TOL
 
 
 @dataclass(frozen=True)

@@ -238,8 +238,18 @@ class TestYcmEnergy:
         vals = [ycm_energy(n, UNIT) for n in range(50)]
         assert all(a < b < 0 for a, b in zip(vals, vals[1:]))
 
-    def test_linear_in_c0(self):
-        assert ycm_energy(3, ModelParams(2.0)) == pytest.approx(2.0 * ycm_energy(3, UNIT))
+    def test_quadratic_in_c0(self):
+        assert ycm_energy(3, ModelParams(2.0)) == pytest.approx(4.0 * ycm_energy(3, UNIT))
+
+    @pytest.mark.parametrize("hbar", [0.7, 1.6])
+    @pytest.mark.parametrize("c0", [0.5, 2.0])
+    def test_is_the_master_level_at_zero_couplings(self, c0, hbar):
+        """Level n = 2p of the undeformed system is the master formula's
+        level p in the sector l4 = T = 0."""
+        params = ModelParams(c0, hbar=hbar)
+        m = aux_exponents(params, ZERO)
+        for p in range(10):
+            assert ycm_energy(2 * p, params) == energy_level(p, m, params)
 
 
 class TestDegeneracy:

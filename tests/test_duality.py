@@ -10,9 +10,9 @@ from monopole_spectra import (
     oscillator_from_kepler,
     spectrum_identity_check,
 )
-from monopole_spectra.duality import delta_m_match, enumerate_delta_m_matches
 from monopole_spectra.cli import IDENTITY_RTOL
 from monopole_spectra.errors import NonNegativeEnergy
+from monopole_spectra.specfun import coulomb_energy, oscillator_level
 
 
 def full_grid():
@@ -50,6 +50,30 @@ class TestMaps:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             kepler_from_oscillator(4.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 1.6])
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
+    def test_oscillator_level_maps_to_coulomb_level(self, omega, hbar):
+        """Every frequency maps the 8D level at N to the 5D level at N of
+        the dual c0."""
+        for N in (1.0, 2.5, 7.0, 40.0):
+            c0, e, _, _ = kepler_from_oscillator(oscillator_level(N, omega, hbar), omega, 0.0, 0.0)
+            want = coulomb_energy(N, ModelParams(c0, hbar=hbar))
+            assert abs(e - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 1.6])
+    @pytest.mark.parametrize("c0", [0.5, 2.0])
+    def test_coulomb_level_maps_to_oscillator_level(self, c0, hbar):
+        """The inverse map sends the 5D level at N to an 8D oscillator whose
+        level at N is the dual epsilon."""
+        params = ModelParams(c0, hbar=hbar)
+        for N in (1.0, 2.5, 7.0, 40.0):
+            eps, omega, _, _ = oscillator_from_kepler(c0, coulomb_energy(N, params), 0.0, 0.0)
+            assert abs(oscillator_level(N, omega, hbar) - eps) <= 1e-15 * eps
+
+    def test_rejects_negative_omega(self):
+        with pytest.raises(ValueError, match="positive"):
+            kepler_from_oscillator(4.0, -1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -104,24 +128,6 @@ class TestIdentityCheck:
         worst = max(spectrum_identity_check(*point).rel_diff for point in full_grid())
         assert worst <= 1e-12
 
-    @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
-    def test_dual_chain_is_free_of_omega(self, omega):
-        """The oscillator frequency only seeds the 8D chain: every frequency
-        gives the master formula."""
-        worst = max(spectrum_identity_check(picture, labels, params, omega).rel_diff
-                    for picture, labels, params in full_grid()
-                    if picture in ("euler", "cylindrical"))
-        assert worst <= 1e-13
-
-    @pytest.mark.parametrize("omega", [-1.0, 0.0, np.nan, np.inf])
-    @pytest.mark.parametrize("picture, labels", [
-        ("euler", dict(n=1, lam=2, T=0.5, K=0.5)),
-        ("cylindrical", dict(n1=1, n2=2, T=0.5, K=0.5)),
-    ])
-    def test_rejects_bad_omega(self, picture, labels, omega):
-        with pytest.raises(ValueError):
-            spectrum_identity_check(picture, labels, ModelParams(1.0, 0.5, 0.5), omega)
-
     def test_dual_chain_runs_the_duality_map(self, monkeypatch):
         """A map whose c0 is 1e-12 off must show in the 8D pictures."""
         exact = duality.kepler_from_oscillator
@@ -142,39 +148,3 @@ class TestIdentityCheck:
             ModelParams(1.3, 0.4, 0.9, hbar=0.7),
         )
         assert r.rel_diff <= 1e-13
-
-
-class TestDeltaMMatching:
-    def test_match_requires_exponent_equality(self):
-        # J = L = l4 + 1 with T = 0 matches at zero couplings
-        r = delta_m_match(ModelParams(1.0), J=2.0, L=2.0, l4=1.0, T=0.0)
-        assert r.matches
-        assert r.delta1 == pytest.approx(r.m1, abs=1e-12)
-
-    def test_generic_tuple_excluded(self):
-        r = delta_m_match(ModelParams(1.0), J=0.0, L=0.0, l4=0.0, T=0.0)
-        assert not r.matches
-        assert r.m1 == pytest.approx(1.0)
-        assert r.delta1 == pytest.approx(0.0, abs=1e-12)
-
-    def test_enumeration_reports_both_sides(self):
-        matched, excluded = enumerate_delta_m_matches(
-            ModelParams(1.0), z_max=3.0, l4_max=3.0
-        )
-        assert len(matched) >= 1
-        assert len(excluded) > len(matched)
-        for r in matched:
-            assert abs(r.delta1 - r.m1) <= 1e-10 and abs(r.delta2 - r.m2) <= 1e-10
-
-    def test_invalid_labels_raise(self):
-        """Only a negative radicand reads as "no match"; a label that is not
-        a half-integer is an input error."""
-        with pytest.raises(ValueError):
-            delta_m_match(ModelParams(1.0), J=0.0, L=0.0, l4=0.0, T=0.3)
-
-    def test_inadmissible_sectors_are_excluded_not_fatal(self):
-        matched, excluded = enumerate_delta_m_matches(
-            ModelParams(1.0), z_max=1.0, l4_max=0.5
-        )
-        # sectors with negative radicand land in the excluded list with NaN m
-        assert any(np.isnan(r.m1) for r in excluded)
