@@ -31,17 +31,25 @@ Each command imports only the modules it runs.  At module level this file
 imports the standard library and the numpy-free modules (`algebra`,
 `duality`, `specfun`, `params`, `errors`); numpy, `spectra` (and with it
 scipy) and `fock` are imported inside the functions that use them.  So the
-`spectrum` commands, which are pure arithmetic, load neither numpy nor scipy;
-`verify ode` alone loads `spectra`, and `verify algebra` alone loads `fock`.
+`spectrum` commands, which are pure arithmetic, and `verify duality`, which
+draws its samples with `random`, load neither numpy nor scipy; `verify ode`
+alone loads `spectra`, and `verify algebra` alone loads `fock`.
+
+`main(argv)` returns the exit code and leaves the garbage collector alone, for
+callers in the same process.  `run()` is the process entry (`python -m
+monopole_spectra` and the console script): it freezes the heap before exit, so
+interpreter shutdown skips the collector's passes over every object.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import itertools
 import json
 import math
+import random
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -336,16 +344,14 @@ ODE = Pictures({
 
 
 def verify_duality(v: dict) -> tuple[list, list]:
-    import numpy as np
-
     grid = v["grid"]
     n_sample = 10_000 if grid == "full" else 1_000
-    rng = np.random.default_rng(v["seed"])
-    eps, om, l1, l2 = (rng.uniform(lo, hi, n_sample)
-                       for lo, hi in ((0.1, 50.0), (0.05, 20.0), (0.0, 10.0), (0.0, 10.0)))
+    uniform = random.Random(v["seed"]).uniform
+    ranges = ((0.1, 50.0), (0.05, 20.0), (0.0, 10.0), (0.0, 10.0))  # eps, omega, lambda1, lambda2
     # each sampled 8D level goes to its 5D dual and back through the package's maps
     roundtrip_ulp = 0.0
-    for sample in zip(eps.tolist(), om.tolist(), l1.tolist(), l2.tolist()):
+    for _ in range(n_sample):
+        sample = [uniform(lo, hi) for lo, hi in ranges]
         back = duality.oscillator_from_kepler(*duality.kepler_from_oscillator(*sample))
         roundtrip_ulp = max(roundtrip_ulp, *(
             abs(b - s) / max(math.ulp(s), 1e-300) for b, s in zip(back, sample)))
@@ -545,5 +551,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVARIANT
 
 
+def run() -> None:
+    """Process entry: `main` on sys.argv, then `gc.freeze()` and exit with its
+    code, so shutdown frees the heap by reference count with no collector
+    pass; stdout is still flushed and atexit handlers still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -369,10 +370,12 @@ class TestCoulombPicturesThroughOscillator:
         assert env["checks"][0]["passed"]
 
 
+FRESH_ENV = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 def fresh(code: str) -> list[str]:
     """Lines that `code` prints in a fresh interpreter importing the package from src."""
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, check=True,
                           capture_output=True, text=True).stdout.splitlines()
 
 
@@ -380,15 +383,17 @@ LOADED = "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
 
 
 def test_cli_import_does_not_load_scipy():
-    """The `spectrum` commands are pure arithmetic: importing the package or
-    the CLI, or running a README `spectrum` line as `python -m
-    monopole_spectra`, loads neither numpy nor scipy.  scipy is imported on
-    the first eigensolve."""
+    """The `spectrum` commands are pure arithmetic and `verify duality` maps
+    Python floats drawn by `random`: importing the package or the CLI, or
+    running a README `spectrum` line or `verify duality` on either grid as
+    `python -m monopole_spectra`, loads neither numpy nor scipy.  scipy is
+    imported on the first eigensolve."""
     for module in ("monopole_spectra", "monopole_spectra.cli"):
         assert fresh(f"import sys, {module}; {LOADED}") == ["[]"], module
     spectrum = [argv for argv in readme_cli_commands() if argv[0] == "spectrum"]
     assert [argv[1] for argv in spectrum] == ["kepler5d", "osc8d"]
-    for argv in spectrum:
+    duality = [["verify", "duality", "--grid", grid] for grid in ("small", "full")]
+    for argv in spectrum + duality:
         out = fresh(f"import runpy, sys\nsys.argv = ['monopole_spectra', *{argv!r}]\n"
                     "try:\n    runpy.run_module('monopole_spectra', run_name='__main__',"
                     " alter_sys=True)\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
@@ -578,6 +583,50 @@ def readme_cli_commands():
 
 @pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
 def test_readme_cli_commands_pass(argv, capsys):
+    """Each README line passes in-process, and `main` leaves the collector as
+    it found it: only the process entry `run` freezes the heap, because
+    `bench/probes.py` and the property test call `main` in the process that
+    measures."""
+    enabled = gc.isenabled()
     code, env = run_json(argv, capsys)
     assert code == 0
     assert all(c["passed"] for c in env["checks"])
+    assert gc.isenabled() == enabled
+    assert gc.get_freeze_count() == 0
+
+
+def test_benchmark_times_the_readme_commands():
+    """`bench/workloads.py` times README's `## CLI` lines, all of them and in order."""
+    out = fresh(f"import json, sys; sys.path.insert(0, {BENCH!r})\n"
+                "from workloads import README_COMMANDS\n"
+                "print(json.dumps([command.split() for _, command in README_COMMANDS]))")
+    assert json.loads(out[0]) == readme_cli_commands()
+
+
+# `python -m monopole_spectra`, `python -m monopole_spectra.cli`, and what the
+# console script calls
+PROCESS_ENTRIES = (["-m", "monopole_spectra"], ["-m", "monopole_spectra.cli"],
+                   ["-c", "from monopole_spectra.cli import run; run()"])
+
+
+def without_timestamp(text: str) -> list[str]:
+    return [line for line in text.splitlines() if '"timestamp"' not in line]
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((argv, 0) for argv in readme_cli_commands()),
+    (["spectrum", "kepler5d", "--c0", "-1"], 2),
+    (["verify", "ode", "--picture", "kepler-angular", "--mesh", "10"], 3),
+    (["verify", "residuals", "--picture", "kepler-radial", "--n", "2", "--lam-eff", "1.8",
+      "--c0", "100"], 4),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else f"exit{x}")
+def test_process_entries_print_what_main_prints(argv, code, capsys):
+    """Each process entry, in a fresh interpreter, prints the stdout (the
+    timestamp aside) and stderr of in-process `main` and exits with its code."""
+    assert main(argv) == code
+    want = capsys.readouterr()
+    for entry in PROCESS_ENTRIES:
+        proc = subprocess.run([sys.executable, *entry, *argv], env=FRESH_ENV,
+                              capture_output=True, text=True)
+        assert (without_timestamp(proc.stdout), proc.stderr, proc.returncode) == (
+            without_timestamp(want.out), want.err, code), entry
