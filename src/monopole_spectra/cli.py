@@ -7,8 +7,10 @@ Subcommands:
 Every parameter is declared once, as a `Param`, in the table of the command
 that reads it; `verify ode` and `verify residuals` keep one table per
 `--picture`, and the first picture of a table is its default.  The flags
-(`--` + name, with `_` spelled `-`), the config parsing, the input checks and
-the `params` echo are all derived from these declarations.
+(`--` + name, with `_` spelled `-`), the config parsing, the type and choice
+checks and the `params` echo are all derived from these declarations.  Each
+label, scale, level count, degree and seed is range-checked by the function
+that reads it, with `params.require_positive` or `require_non_negative`.
 
 Reports are emitted as JSON (default), CSV, or plain text.  JSON carries the
 schema {version, timestamp, command, params, results, checks}; `params`
@@ -24,8 +26,8 @@ verification checks).
 A plain-text config file of `key = value` lines can be passed via --config;
 explicit command-line flags take precedence.  Config values are typed and
 checked like flags: cast by the declared type, checked against the declared
-choices and bound, and every number must be finite.  A flag or key that the
-command, or its chosen picture, does not read exits 2 and is named.
+choices, and every number must be finite.  A flag or key that the command,
+or its chosen picture, does not read exits 2 and is named.
 
 Each command imports only the modules it runs.  At module level this file
 imports the standard library and the numpy-free modules (`algebra`,
@@ -179,13 +181,12 @@ class Param(NamedTuple):
     """One parameter: flag `--name` (`_` spelled `-`), config key `name`.
 
     Values from a flag or the config file are cast by `type`, must be one of
-    `choices` when given, greater than `above` when given, and finite."""
+    `choices` when given, and finite."""
 
     name: str
     type: type
     default: object = None
     choices: tuple | None = None
-    above: float | None = None
 
 
 C0 = Param("c0", float, 1.0)
@@ -200,7 +201,7 @@ J_L = [Param("J", float, 0.0), Param("L", float, 0.0)]  # 5D picture labels
 T_K = [T, Param("K", float, 0.0)]                 # 8D picture labels
 SECTOR = [Param("z", float, 0.0), Param("lam_coupling", float, 0.0)]
 MESH = Param("mesh", int, 2000)
-LEVELS = Param("levels", int, 3, above=0)
+LEVELS = Param("levels", int, 3)
 SOLVE = [LEVELS, MESH]
 LAM = Param("lam", int, 1)
 LAM_EFF = Param("lam_eff", float, 0.0)
@@ -249,7 +250,7 @@ def spectrum_kepler5d(v: dict) -> tuple[list, list]:
 
 def spectrum_osc8d(v: dict) -> tuple[list, list]:
     omega, hbar, T, K = v["omega"], v["hbar"], v["T"], v["K"]
-    require_positive(omega=omega, hbar=hbar)
+    require_positive(omega=omega, hbar=hbar, levels=v["levels"])
     require_non_negative(lambda1=v["lambda1"], lambda2=v["lambda2"], T=T, K=K)
     d = specfun.delta_exponents("oscillator", (v["lambda1"], v["lambda2"]), T, K, hbar)
     results = []
@@ -339,11 +340,12 @@ ODE = Pictures({
         v, "oscillator_angular", v["T"], v["K"], v["lambda1"], v["lambda2"], v["hbar"])),
     "cylindrical": ([*SECTOR, OMEGA, HBAR, *SOLVE], lambda v: _solved(
         v, "cylindrical", v["z"], v["lam_coupling"], v["omega"], v["hbar"])),
-    "parabolic": ([*J_L, *MODEL, MESH, Param("n_max", int, 2, above=-1)], _parabolic_levels),
+    "parabolic": ([*J_L, *MODEL, MESH, Param("n_max", int, 2)], _parabolic_levels),
 }, ode_report)
 
 
 def verify_duality(v: dict) -> tuple[list, list]:
+    require_non_negative(seed=v["seed"])
     grid = v["grid"]
     n_sample = 10_000 if grid == "full" else 1_000
     uniform = random.Random(v["seed"]).uniform
@@ -407,15 +409,15 @@ RESIDUALS = Pictures({
     "osc-angular": ([LAM, *T_K, *LAMBDAS, HBAR, POINTS], lambda v: specfun.angular_residual(
         "oscillator_euler", v["lam"], v["T"], v["K"],
         couplings=(v["lambda1"], v["lambda2"]), hbar=v["hbar"], n_points=v["points"])),
-    "kepler-radial": ([Param("n", int, 0, above=-1), LAM_EFF, C0, HBAR, POINTS],
+    "kepler-radial": ([Param("n", int, 0), LAM_EFF, C0, HBAR, POINTS],
                       lambda v: specfun.kepler_radial_residual(
                           v["n"], v["lam_eff"], model(v), n_points=v["points"])),
-    "osc-radial": ([Param("n", int, 0, above=-1), LAM_EFF, OMEGA, HBAR, POINTS],
+    "osc-radial": ([Param("n", int, 0), LAM_EFF, OMEGA, HBAR, POINTS],
                    lambda v: specfun.oscillator_radial_residual(
                        v["n"], v["lam_eff"], v["omega"], v["hbar"], n_points=v["points"])),
-    "parabolic": ([Param("n1", int, 0, above=-1), Param("n2", int, 0, above=-1),
+    "parabolic": ([Param("n1", int, 0), Param("n2", int, 0),
                    *J_L, *MODEL, POINTS], _parabolic_residual),
-    "cylindrical": ([Param("n", int, 1, above=-1), *SECTOR, HBAR, POINTS],
+    "cylindrical": ([Param("n", int, 1), *SECTOR, HBAR, POINTS],
                     lambda v: specfun.cylindrical_residual(
                         v["n"], v["z"], v["lam_coupling"], v["hbar"], n_points=v["points"])),
 }, residual_report)
@@ -430,7 +432,7 @@ COMMANDS = {
         "algebra": ([Param("p", int, 4), *MODEL, *L4_T], verify_algebra),
         "ode": ODE,
         "duality": ([Param("grid", str, "small", ("small", "full")),
-                     Param("seed", int, 0, above=-1)], verify_duality),
+                     Param("seed", int, 0)], verify_duality),
         "residuals": RESIDUALS,
     },
 }
@@ -474,8 +476,6 @@ def resolve(p: Param, args: argparse.Namespace, cfg: dict):
         raise ValueError(f"{p.name} must be one of {', '.join(p.choices)}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{p.name} must be finite, got {value!r}")
-    if p.above is not None and not value > p.above:
-        raise ValueError(f"{p.name} must be greater than {p.above}, got {value}")
     return value
 
 

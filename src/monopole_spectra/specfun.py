@@ -193,16 +193,28 @@ def _confluent(x: np.ndarray, n: int, a: float, b: float) -> np.ndarray:
 
 
 def exp_cutoff(kappa: float, power: float, cut: float) -> float:
-    """x beyond which exp(-kappa*x/2) * x^power is below cut * its peak."""
+    """x beyond which exp(-kappa*x/2) * x^power is below cut * its peak.
+
+    For power > 0 this is the root above the peak x_peak = 2 power / kappa
+    (floored at 1e-12) of kappa (x - x_peak)/2 - power ln(x / x_peak) =
+    ln(1/cut), solved in u = x / x_peak - 1 by Newton's method.  The function
+    is convex and rising for u > 0, so the iterates, started above the root
+    at u = 1 + 2 ln(1/cut) / (kappa x_peak / 2), fall monotonically onto it.
+    For power <= 0 it is x_peak + 2 ln(1/cut) / kappa, where
+    exp(-kappa (x - x_peak)/2) has fallen to cut.
+    """
     x_peak = max(2.0 * power / kappa, 1e-12)
     target = math.log(1.0 / cut)
-    x = x_peak + 2.0 * target / kappa
-    for _ in range(80):
-        x_new = (2.0 / kappa) * (target + power * max(0.0, math.log(x / x_peak))) + x_peak
-        if abs(x_new - x) < 1e-10 * x:
-            return x_new
-        x = x_new
-    return x
+    if power > 0:
+        s = 0.5 * kappa * x_peak  # = power unless x_peak is floored
+        u = 1.0 + 2.0 * target / s
+        for _ in range(100):
+            step = (s * u - power * math.log1p(u) - target) / (s - power / (1.0 + u))
+            u -= step
+            if step <= 1e-13 * u:
+                break
+        return x_peak * (1.0 + u)
+    return (2.0 / kappa) * target + x_peak
 
 
 def angular_residual(
@@ -264,6 +276,7 @@ def kepler_radial_residual(
     lam_eff is the effective angular exponent (the separation constant is
     lam_eff*(lam_eff+3)).
     """
+    require_non_negative(n=n)
     hb2 = params.hbar ** 2
     kappa = 2.0 * params.c0 / (hb2 * (n + lam_eff + 2.0))
     energy = coulomb_energy(n + lam_eff + 2.0, params)
@@ -283,6 +296,7 @@ def oscillator_radial_residual(
     n_points: int = 2001,
 ) -> float:
     """Residual of the 8D radial equation; Gamma = 4*lam_eff*(lam_eff+3)."""
+    require_non_negative(n=n)
     require_positive(omega=omega, hbar=hbar)
     kappa = omega / hbar
     eps = oscillator_level(n + lam_eff + 2.0, omega, hbar)
@@ -299,6 +313,7 @@ def parabolic_pair_parameters(
     n1: int, n2: int, J: float, L: float, params: ModelParams
 ) -> tuple[float, float, float]:
     """(kappa, lam_tilde, E) of the quantized parabolic state (n1, n2)."""
+    require_non_negative(n1=n1, n2=n2)
     d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
     return parabolic_pair(factor_principal_number(n1, d.delta1, J),
                           factor_principal_number(n2, d.delta2, L), params)
@@ -315,6 +330,7 @@ def parabolic_residual(
     n_points: int = 2001,
 ) -> float:
     """Residual of one parabolic-coordinate equation ("mu" or "nu")."""
+    require_non_negative(n=n)
     hb2 = params.hbar ** 2
     if sector == "mu":
         sep = 0.5 * params.hbar * lam_tilde
@@ -342,6 +358,7 @@ def cylindrical_residual(
     n_points: int = 2001,
 ) -> float:
     """Residual of one 4D-factor equation in the dimensionless variable."""
+    require_non_negative(n=n)
     require_positive(hbar=hbar)
     d = shifted_exponent(2.0, coupling, z, hbar)
     a = 0.5 * (d + z)

@@ -128,8 +128,8 @@ def _eigenpairs(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndar
     taken as its vector's Rayleigh quotient in energy form."""
     from scipy.linalg import eigh_tridiagonal
 
-    if not 1 <= k <= n:
-        raise ValueError(f"cannot resolve {k} levels on mesh {n}: need 1 <= levels <= mesh")
+    if k > n:
+        raise ValueError(f"cannot resolve {k} levels on mesh {n}: need levels <= mesh")
     diag, off, v, h = _tridiagonal(problem, n)
     try:
         vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[1].T
@@ -199,8 +199,9 @@ def _levels(problem: SturmLiouvilleProblem, k: int, n: int) -> tuple[np.ndarray,
     COARSE_POINTS * k points, and `_lift` carries them onto mesh n.  If the
     coarse mesh fails or the lift is not certified, `_eigenpairs` runs on
     mesh n itself."""
+    require_positive(levels=k)
     m = COARSE_POINTS * k
-    if 0 < m < n:
+    if m < n:
         try:
             lifted = _lift(problem, *_eigenpairs(problem, k, m), n)
         except ConvergenceFailure:
@@ -291,6 +292,7 @@ def kepler_radial_spectrum(
 
 
 def kepler_radial_oracle(lam: float, params: ModelParams, k: int = 5) -> np.ndarray:
+    require_positive(levels=k)
     return coulomb_energy(np.arange(k) + exponent_from_separation(lam) + 2.0, params)
 
 
@@ -304,6 +306,7 @@ def kepler_angular_spectrum(
 
 
 def kepler_angular_oracle(J: float, L: float, params: ModelParams, k: int = 5) -> np.ndarray:
+    require_positive(levels=k)
     d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
     return separation_constant(effective_exponent(np.arange(k), J, L, d))
 
@@ -323,7 +326,7 @@ def oscillator_radial_spectrum(
 
 
 def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: int = 5) -> np.ndarray:
-    require_positive(hbar=hbar, omega=omega)
+    require_positive(hbar=hbar, omega=omega, levels=k)
     g = exponent_from_separation(gamma / 4.0)
     return oscillator_level(np.arange(k) + g + 2.0, omega, hbar)
 
@@ -341,7 +344,7 @@ def oscillator_angular_spectrum(
 def oscillator_angular_oracle(
     T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
-    require_positive(hbar=hbar)
+    require_positive(hbar=hbar, levels=k)
     d = delta_exponents("oscillator", (lam1, lam2), T, K, hbar)
     return 4.0 * separation_constant(effective_exponent(np.arange(k), T, K, d))
 
@@ -360,7 +363,7 @@ def cylindrical_spectrum(
 def cylindrical_oracle(
     z: float, lam_coupling: float, omega: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
-    require_positive(hbar=hbar, omega=omega)
+    require_positive(hbar=hbar, omega=omega, levels=k)
     d = shifted_exponent(2.0, lam_coupling, z, hbar)
     return oscillator_level(factor_principal_number(np.arange(k), d, z), omega, hbar)
 
@@ -387,9 +390,7 @@ def parabolic_quantization(
     so the pair is `parabolic_pair(N1, N2)` at the factor principal numbers
     N_i, Richardson-extrapolated over (mesh, 2*mesh + 1).
     """
-    require_non_negative(J=J, L=L)
-    if n_max < 0:
-        return []
+    require_non_negative(J=J, L=L, n_max=n_max)
     N1, N2 = (_radial_solve(4.0 * sector_potential(4.0, c, z, params.hbar) + 0.75,
                             n_max + 1, mesh).richardson
               for c, z in ((params.c1, J), (params.c2, L)))

@@ -450,6 +450,28 @@ def non_positive_scales():
                                    id=" ".join(argv))
 
 
+# each count or degree the commands read -> (the rule's wording, the first
+# value it rejects): the number of levels must be positive, the others
+# non-negative
+COUNTS = {"levels": ("positive", 0),
+          **{name: ("non-negative", -1) for name in ("n_max", "n", "n1", "n2", "p", "seed")}}
+# integers that size a grid or fix a degree, checked where they are used
+STRUCTURAL = {"mesh", "points", "lam"}
+
+
+def counts_out_of_range():
+    """Each command and picture that reads a count or degree, with it at the
+    first value outside its range, and the validator's message it must print."""
+    for case in command_tables():
+        prefix, decls = case.values
+        for p in decls:
+            if p.name in COUNTS:
+                word, value = COUNTS[p.name]
+                argv = prefix + ["--" + p.name.replace("_", "-"), str(value)]
+                yield pytest.param(argv, f"{p.name} must be finite and {word}, got {value}",
+                                   id=" ".join(argv))
+
+
 class TestParameterTables:
     """Each parameter is declared once; flags, config parsing, checks and
     the params echo all come from the declaration."""
@@ -485,11 +507,6 @@ class TestParameterTables:
                      "--config", config_file(tmp_path, "omega = 2\n")])
         assert code == 2
         assert "omega" in capsys.readouterr().err
-
-    def test_negative_n_max_exit_2(self, capsys):
-        code = main(["verify", "ode", "--picture", "parabolic", "--n-max", "-1"])
-        assert code == 2
-        assert "n_max" in capsys.readouterr().err
 
     @pytest.mark.parametrize("picture, extra, echoed", [
         ("kepler-radial", [], {"Lambda", "c0", "hbar", "levels", "mesh"}),
@@ -532,22 +549,20 @@ class TestParameterTables:
         assert code == 2
         assert "lam" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("picture, flag, value", [
-        ("kepler-radial", "n", "-1"),
-        ("osc-radial", "n", "-1"),
-        ("cylindrical", "n", "-2"),
-        ("parabolic", "n1", "-1"),
-        ("parabolic", "n2", "-1"),
-    ])
-    def test_negative_residual_degree_exit_2(self, picture, flag, value, capsys):
-        code = main(["verify", "residuals", "--picture", picture, "--" + flag, value])
+    @pytest.mark.parametrize("argv, message", list(counts_out_of_range()))
+    def test_count_out_of_range_exit_2(self, argv, message, capsys):
+        # counts, degrees and the seed go through the rule labels and scales use
+        code = main(argv)
+        captured = capsys.readouterr()
         assert code == 2
-        assert f"{flag} must be greater than -1" in capsys.readouterr().err
+        assert captured.out == ""
+        assert message in captured.err
 
-    def test_negative_duality_seed_exit_2(self, capsys):
-        code = main(["verify", "duality", "--seed", "-5"])
-        assert code == 2
-        assert "seed must be greater than -1" in capsys.readouterr().err
+    def test_every_int_declaration_has_a_rule(self):
+        # p_max alone may be negative: `spectrum kepler5d` prints an empty table
+        ints = {p.name for case in command_tables() for p in case.values[1] if p.type is int}
+        assert set(COUNTS) <= ints
+        assert ints <= set(COUNTS) | STRUCTURAL | {"p_max"}
 
     def test_angular_mesh_too_small_exit_2(self, capsys):
         code = main(["verify", "ode", "--picture", "kepler-angular", "--mesh", "1"])
@@ -619,6 +634,8 @@ def without_timestamp(text: str) -> list[str]:
     (["verify", "ode", "--picture", "kepler-angular", "--mesh", "10"], 3),
     (["verify", "residuals", "--picture", "kepler-radial", "--n", "2", "--lam-eff", "1.8",
       "--c0", "100"], 4),
+    (["verify", "ode", "--picture", "kepler-angular", "--J", "-1"], 2),
+    (["verify", "residuals", "--picture", "kepler-radial", "--n", "-1"], 2),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else f"exit{x}")
 def test_process_entries_print_what_main_prints(argv, code, capsys):
     """Each process entry, in a fresh interpreter, prints the stdout (the

@@ -13,6 +13,7 @@ from monopole_spectra.specfun import (
     COUPLING_FACTOR,
     angular_residual,
     cylindrical_residual,
+    exp_cutoff,
     kepler_radial_residual,
     oscillator_radial_residual,
     parabolic_pair,
@@ -259,6 +260,32 @@ class TestRadialResiduals:
         fine = kepler_radial_residual(2, 1.8, ModelParams(1.0, 1.0, 1.0), n_points=2001)
         order = math.log2(coarse / fine)
         assert 3.0 <= order <= 5.0
+
+    @pytest.mark.parametrize("call, name, value", [
+        pytest.param(lambda: kepler_radial_residual(-2, 0.0, UNIT), "n", -2, id="kepler-radial"),
+        pytest.param(lambda: oscillator_radial_residual(-1, 0.5, 1.0), "n", -1, id="osc-radial"),
+        pytest.param(lambda: cylindrical_residual(-1, 0.5, 1.0), "n", -1, id="cylindrical"),
+        pytest.param(lambda: parabolic_residual("mu", -1, 0.0, 0.0, 0.5, 0.0, UNIT), "n", -1,
+                     id="parabolic"),
+        pytest.param(lambda: parabolic_pair_parameters(-1, 0, 0.0, 0.0, UNIT), "n1", -1,
+                     id="pair-n1"),
+        pytest.param(lambda: parabolic_pair_parameters(0, -1, 0.0, 0.0, UNIT), "n2", -1,
+                     id="pair-n2"),
+    ])
+    def test_rejects_negative_degree(self, call, name, value):
+        message = f"{name} must be finite and non-negative, got {value}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
+class TestExpCutoff:
+    @pytest.mark.parametrize("power", [0.5, 5e3, 5e4, 1e6])
+    def test_meets_the_cutoff_equation(self, power):
+        # above the peak x_peak = 2 p / kappa, the envelope exp(-kappa x / 2) x^p
+        # falls to cut times its peak where p (y - 1 - ln y) = ln(1/cut), y = x / x_peak
+        y = exp_cutoff(1.0, power, 1e-14) / (2.0 * power)
+        assert y > 1.0
+        assert power * (y - 1.0 - math.log(y)) == pytest.approx(math.log(1e14), rel=0, abs=1e-9)
 
 
 class TestResidualScales:

@@ -280,7 +280,8 @@ class TestExactScaling8D:
 class TestScaleValidation:
     """The 8D solvers and their oracles reject an hbar that is not positive
     and an hbar or omega that is not finite, and every solver rejects a label
-    or coupling that is negative or not finite, naming the value."""
+    or coupling that is negative or not finite, and a count of levels or
+    nodes out of range, naming the value."""
 
     CALLS = {
         "osc-radial": lambda w, h: oscillator_radial_spectrum(12.0, w, h, 3, 500),
@@ -326,6 +327,32 @@ class TestScaleValidation:
         with pytest.raises(ValueError,
                            match=f"^{name} must be finite and non-negative, got {value!r}$"):
             self.LABELS[label](value)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: kepler_radial_spectrum(0.0, UNIT, 0),
+                     "levels must be finite and positive, got 0", id="kepler-radial"),
+        pytest.param(lambda: kepler_angular_spectrum(0.0, 0.0, UNIT, 0),
+                     "levels must be finite and positive, got 0", id="kepler-angular"),
+        pytest.param(lambda: oscillator_radial_spectrum(12.0, 1.0, 1.0, -2),
+                     "levels must be finite and positive, got -2", id="osc-radial"),
+        pytest.param(lambda: solve_lowest(SturmLiouvilleProblem(quad=1.0), 0),
+                     "levels must be finite and positive, got 0", id="solve_lowest"),
+        pytest.param(lambda: parabolic_quantization(0.0, 0.0, UNIT, n_max=-1),
+                     "n_max must be finite and non-negative, got -1", id="parabolic"),
+        pytest.param(lambda: kepler_radial_oracle(0.0, UNIT, -1),
+                     "levels must be finite and positive, got -1", id="kepler-radial-oracle"),
+        pytest.param(lambda: kepler_angular_oracle(0.0, 0.0, UNIT, 0),
+                     "levels must be finite and positive, got 0", id="kepler-angular-oracle"),
+        pytest.param(lambda: oscillator_radial_oracle(12.0, 1.0, 1.0, -1),
+                     "levels must be finite and positive, got -1", id="osc-radial-oracle"),
+        pytest.param(lambda: oscillator_angular_oracle(0.5, 0.0, 2.0, 1.0, 1.0, 0),
+                     "levels must be finite and positive, got 0", id="osc-angular-oracle"),
+        pytest.param(lambda: cylindrical_oracle(1.0, 2.5, 0.7, 1.1, -1),
+                     "levels must be finite and positive, got -1", id="cylindrical-oracle"),
+    ])
+    def test_rejects_count(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestIndependentOfClosedForms:
