@@ -15,15 +15,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": (
         "RAW_TO_FACTORED_SCALE", "UnirrepSolution", "aux_exponents", "degeneracy_count",
-        "energy_level", "factored_roots", "solve_unirrep", "so6_casimir_eigenvalues",
-        "structure_function_factored", "structure_function_raw", "ycm_energy",
+        "energy_level", "factored_roots", "solve_unirrep", "structure_function_factored",
+        "structure_function_raw", "ycm_energy",
     ),
     "duality": ("kepler_from_oscillator", "oscillator_from_kepler", "spectrum_identity_check"),
     "fock": (
         "AlgebraReport", "DeformedOscillatorRep", "GeneratorMatrices", "build_generators",
         "build_rep", "verify_algebra",
     ),
-    "params": ("AuxExponents", "ModelParams", "QuantumNumbers", "So6Labels"),
+    "params": ("AuxExponents", "ModelParams", "QuantumNumbers"),
     "specfun": ("DeltaExponents", "delta_exponents", "jacobi_p", "kummer_poly"),
     "spectra": (
         "EigenResult", "SturmLiouvilleProblem", "cylindrical_spectrum",

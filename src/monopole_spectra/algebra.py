@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NegativeRadicand, NonNegativeEnergy, PositivityViolation
 from .params import (
-    AuxExponents, ModelParams, QuantumNumbers, So6Labels, require_non_negative, require_positive,
+    AuxExponents, ModelParams, QuantumNumbers, require_non_negative, require_positive,
 )
 from .specfun import coulomb_energy
 
@@ -172,21 +172,6 @@ def solve_unirrep(p: int, params: ModelParams, qn: QuantumNumbers) -> UnirrepSol
             f"structure function not strictly positive on (0, {p + 1}) for u={u}, E={E}")
     phi = 98304.0 * first[1::2] * second[1::2]
     return UnirrepSolution(p=p, u=u, E=E, phi_interior=tuple(phi))
-
-
-def so6_casimir_eigenvalues(labels: So6Labels) -> tuple[float, float, float]:
-    """Eigenvalues (K1, K2, K3) of the three so(6) Casimir operators."""
-    u1, u2, u3 = labels.mu1, labels.mu2, labels.mu3
-    k1 = u1 * (u1 + 4.0) + u2 * (u2 + 2.0) + u3 ** 2
-    k2 = 48.0 * (u1 + 2.0) * (u2 + 1.0) * u3
-    k3 = (
-        u1 ** 2 * (u1 + 4.0) ** 2
-        + 6.0 * u1 * (u1 + 4.0)
-        + u2 ** 2 * (u2 + 2.0) ** 2
-        + u3 ** 4
-        - 2.0 * u3 ** 2
-    )
-    return k1, k2, k3
 
 
 def ycm_energy(n: int, params: ModelParams) -> float:

@@ -18,10 +18,6 @@ class PositivityViolation(MonopoleSpectraError):
     so no unitary representation exists for these parameters."""
 
 
-class OrderingViolation(MonopoleSpectraError, ValueError):
-    """so(6) labels do not satisfy mu1 >= mu2 >= mu3 >= 0."""
-
-
 class DiagonalPole(MonopoleSpectraError, ValueError):
     """(n + u)^2 = 1/4 for some level, poles the generator diagonal."""
 

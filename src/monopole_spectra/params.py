@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OrderingViolation
-
 HALF_INT_TOL = 1e-9
 
 
@@ -84,24 +82,3 @@ class AuxExponents:
 
     def __post_init__(self) -> None:
         require_non_negative(m1=self.m1, m2=self.m2)
-
-
-@dataclass(frozen=True)
-class So6Labels:
-    """so(6) unirrep labels, half-integers with mu1 >= mu2 >= mu3 >= 0."""
-
-    mu1: float
-    mu2: float
-    mu3: float
-
-    def __post_init__(self) -> None:
-        require_non_negative(mu1=self.mu1, mu2=self.mu2, mu3=self.mu3)
-        for name in ("mu1", "mu2", "mu3"):
-            v = getattr(self, name)
-            if not is_half_integer(v):
-                raise ValueError(f"{name} must be a half-integer, got {v}")
-        if not (self.mu1 >= self.mu2 >= self.mu3):
-            raise OrderingViolation(
-                f"labels must satisfy mu1 >= mu2 >= mu3, got "
-                f"({self.mu1}, {self.mu2}, {self.mu3})"
-            )

@@ -43,8 +43,9 @@ ENVELOPE_CUT = 1e-12
 
 def jacobi_p(n: int, a: float, b: float, x: float) -> float:
     """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
+    # the rule is called only on failure: this runs once per grid point
+    if not 0 <= n < math.inf:
+        require_non_negative(n=n)
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
     if n == 0:
@@ -64,8 +65,9 @@ def jacobi_p(n: int, a: float, b: float, x: float) -> float:
 
 def kummer_poly(n: int, b: float, x: float) -> float:
     """Confluent hypergeometric 1F1(-n, b; x), a degree-n polynomial."""
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
+    # the rule is called only on failure, as in `jacobi_p`
+    if not 0 <= n < math.inf:
+        require_non_negative(n=n)
     bk = round(b)
     if abs(b - bk) < 1e-12 and -(n - 1) <= bk <= 0:
         raise ParameterPole(f"b={b} poles the series within degree {n}")
@@ -276,7 +278,7 @@ def kepler_radial_residual(
     lam_eff is the effective angular exponent (the separation constant is
     lam_eff*(lam_eff+3)).
     """
-    require_non_negative(n=n)
+    require_non_negative(n=n, lam_eff=lam_eff)
     hb2 = params.hbar ** 2
     kappa = 2.0 * params.c0 / (hb2 * (n + lam_eff + 2.0))
     energy = coulomb_energy(n + lam_eff + 2.0, params)
@@ -296,7 +298,7 @@ def oscillator_radial_residual(
     n_points: int = 2001,
 ) -> float:
     """Residual of the 8D radial equation; Gamma = 4*lam_eff*(lam_eff+3)."""
-    require_non_negative(n=n)
+    require_non_negative(n=n, lam_eff=lam_eff)
     require_positive(omega=omega, hbar=hbar)
     kappa = omega / hbar
     eps = oscillator_level(n + lam_eff + 2.0, omega, hbar)

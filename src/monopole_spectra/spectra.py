@@ -16,12 +16,14 @@ eigenvalue is its vector's Rayleigh quotient in energy form.
 
 Each operator is solved in reduced units, hbar = omega = 1 (the angular ones
 see the couplings only as c_i / hbar^2 and lam_i / hbar^2), so the solver
-meets one problem for every physical scale.  Six pictures run through two
-operators: `_angular_solve` serves both polar equations, and `_radial_solve(a)`
-the 2D oscillator -chi'' + [a/t^2 + t^2] chi = 4 N chi, a = l^2 - 1/4, for its
-principal numbers N.  Each radial-type picture reads a off its printed equation
-(Gamma + 35/4 in 8D, 4 Lambda + 35/4 in 5D under x = y^2, 4 q + 3/4 for a
-cylindrical or parabolic sector) and maps N to its levels once, by
+meets one problem for every physical scale.  Every singular end of every
+separated equation is a/x^2 with a = l^2 - 1/4, and six pictures run through
+two operators of that form: `_angular_solve(a1, a2)`, the polar equation in
+the half angle phi = theta/2, -chi'' + [a2/sin^2 phi + a1/cos^2 phi] chi = nu chi,
+and `_radial_solve(a)`, the 2D oscillator -chi'' + [a/t^2 + t^2] chi = 4 N chi.
+A polar, cylindrical or parabolic sector has a = 4 q + 3/4; the polar
+nu = 4 Lambda + 9 in 5D (Gamma + 9 in 8D) gives the radial a = nu - 1/4
+(under x = y^2 in 5D).  Each picture maps nu or N to its levels once, by
 `EigenResult.scaled`; in 5D the Coulomb strength scales out, so there is no
 root search.  The domain depends on a alone: no solve reads the exponents that
 the closed-form oracles use.
@@ -56,21 +58,18 @@ CONV_TOL = 1e-3         # bound on the relative Richardson delta |richardson - f
 class SturmLiouvilleProblem:
     """-chi'' + V(x) chi = lambda chi on (x_min, x_max), Dirichlet ends.
 
-    V(x) = inv_x/x + inv_x2/x^2 + csc2/sin^2 x + inv_1m_cos/(1 - cos x)
-           + inv_1p_cos/(1 + cos x) + quad*x^2 + const.
+    V(x) = inv_x/x + inv_x2/x^2 + csc2/sin^2 x + sec2/cos^2 x + quad*x^2.
     x_min = 0 places the wall exactly at the origin (exact for solutions
     vanishing there); grid nodes are interior, so V is never evaluated at 0.
-    The angular terms are singular at x = 0 and pi, the ends of the angular
-    domain.
+    The angular terms are singular at x = 0 and pi/2, the ends of the
+    half-angle domain.
     """
 
     inv_x: float = 0.0
     inv_x2: float = 0.0
     csc2: float = 0.0
-    inv_1m_cos: float = 0.0
-    inv_1p_cos: float = 0.0
+    sec2: float = 0.0
     quad: float = 0.0
-    const: float = 0.0
     domain: tuple[float, float] = (0.0, 1.0)
     mesh_size: int = 2000
 
@@ -82,11 +81,9 @@ class SturmLiouvilleProblem:
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         v = self.inv_x / x + self.inv_x2 / (x * x)
-        if self.csc2 or self.inv_1m_cos or self.inv_1p_cos:
-            cs = np.cos(x)
-            v = (v + self.csc2 / np.sin(x) ** 2 + self.inv_1m_cos / (1.0 - cs)
-                 + self.inv_1p_cos / (1.0 + cs))
-        return v + self.quad * x * x + self.const
+        if self.csc2 or self.sec2:
+            v = v + self.csc2 / np.sin(x) ** 2 + self.sec2 / np.cos(x) ** 2
+        return v + self.quad * x * x
 
 
 @dataclass(frozen=True)
@@ -271,11 +268,19 @@ def _radial_solve(a: float, k: int, mesh: int) -> EigenResult:
     return _richardson_solve(problem, k).scaled(lambda nu: nu / 4.0)
 
 
-def _angular_solve(q1: float, q2: float, k: int, mesh: int) -> EigenResult:
-    # -chi'' + [3/4 csc^2 + 2 q2/(1-cos) + 2 q1/(1+cos) - 9/4] chi = sep * chi
-    problem = SturmLiouvilleProblem(csc2=0.75, inv_1m_cos=2.0 * q2, inv_1p_cos=2.0 * q1,
-                                    const=-2.25, domain=(0.0, math.pi), mesh_size=mesh)
+def _angular_solve(a1: float, a2: float, k: int, mesh: int) -> EigenResult:
+    """Lowest k values nu of -chi'' + [a2/sin^2 phi + a1/cos^2 phi] chi = nu chi
+    on (0, pi/2), a_i = 4 q_i + 3/4: four times the printed polar operator in
+    phi = theta/2, since 3/4 csc^2 theta = 3/16 (csc^2 phi + sec^2 phi) and its
+    sector terms at theta = 0 and pi become q2 csc^2 phi and q1 sec^2 phi."""
+    problem = SturmLiouvilleProblem(csc2=a2, sec2=a1, domain=(0.0, 0.5 * math.pi),
+                                    mesh_size=mesh)
     return _richardson_solve(problem, k)
+
+
+def _end_coefficient(f: float, coupling: float, z: float, hbar: float) -> float:
+    """a = 4 q + 3/4 = l^2 - 1/4 of one sector's singular end, q = `sector_potential`."""
+    return 4.0 * sector_potential(f, coupling, z, hbar) + 0.75
 
 
 # ----------------------------------------------------------------- 5D Kepler
@@ -299,10 +304,12 @@ def kepler_radial_oracle(lam: float, params: ModelParams, k: int = 5) -> np.ndar
 def kepler_angular_spectrum(
     J: float, L: float, params: ModelParams, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
-    """Lowest k separation constants of the polar equation at labels (J, L)."""
+    """Lowest k separation constants Lambda = (nu - 9)/4 of the polar equation
+    at labels (J, L)."""
     require_non_negative(J=J, L=L)
-    return _angular_solve(sector_potential(4.0, params.c1, J, params.hbar),
-                          sector_potential(4.0, params.c2, L, params.hbar), k, mesh)
+    return _angular_solve(_end_coefficient(4.0, params.c1, J, params.hbar),
+                          _end_coefficient(4.0, params.c2, L, params.hbar),
+                          k, mesh).scaled(lambda nu: (nu - 9.0) / 4.0)
 
 
 def kepler_angular_oracle(J: float, L: float, params: ModelParams, k: int = 5) -> np.ndarray:
@@ -334,11 +341,11 @@ def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: i
 def oscillator_angular_spectrum(
     T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
-    """Lowest k values of Gamma for the 8D polar equation at labels (T, K)."""
+    """Lowest k values Gamma = nu - 9 of the 8D polar equation at labels (T, K)."""
     require_non_negative(T=T, K=K, lam1=lam1, lam2=lam2)
     require_positive(hbar=hbar)
-    return _angular_solve(sector_potential(2.0, lam1, T, hbar),
-                          sector_potential(2.0, lam2, K, hbar), k, mesh).scaled(lambda g: 4.0 * g)
+    return _angular_solve(_end_coefficient(2.0, lam1, T, hbar),
+                          _end_coefficient(2.0, lam2, K, hbar), k, mesh).scaled(lambda nu: nu - 9.0)
 
 
 def oscillator_angular_oracle(
@@ -356,8 +363,8 @@ def cylindrical_spectrum(
     radial-type operator at a = 4 q + 3/4 under rho = (hbar / omega)^(1/2) t."""
     require_non_negative(z=z, lam_coupling=lam_coupling)
     require_positive(hbar=hbar, omega=omega)
-    a = 4.0 * sector_potential(2.0, lam_coupling, z, hbar) + 0.75
-    return _radial_solve(a, k, mesh).scaled(lambda N: oscillator_level(N, omega, hbar))
+    return _radial_solve(_end_coefficient(2.0, lam_coupling, z, hbar), k, mesh).scaled(
+        lambda N: oscillator_level(N, omega, hbar))
 
 
 def cylindrical_oracle(
@@ -391,8 +398,7 @@ def parabolic_quantization(
     N_i, Richardson-extrapolated over (mesh, 2*mesh + 1).
     """
     require_non_negative(J=J, L=L, n_max=n_max)
-    N1, N2 = (_radial_solve(4.0 * sector_potential(4.0, c, z, params.hbar) + 0.75,
-                            n_max + 1, mesh).richardson
+    N1, N2 = (_radial_solve(_end_coefficient(4.0, c, z, params.hbar), n_max + 1, mesh).richardson
               for c, z in ((params.c1, J), (params.c2, L)))
     levels = []
     for n1, n2 in ((i, s - i) for s in range(n_max + 1) for i in range(s + 1)):

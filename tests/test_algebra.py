@@ -11,18 +11,16 @@ from monopole_spectra import (
     AuxExponents,
     ModelParams,
     QuantumNumbers,
-    So6Labels,
     aux_exponents,
     degeneracy_count,
     energy_level,
     factored_roots,
     solve_unirrep,
-    so6_casimir_eigenvalues,
     structure_function_factored,
     structure_function_raw,
     ycm_energy,
 )
-from monopole_spectra.errors import NegativeRadicand, NonNegativeEnergy, OrderingViolation
+from monopole_spectra.errors import NegativeRadicand, NonNegativeEnergy
 
 ZERO = QuantumNumbers()
 UNIT = ModelParams(c0=1.0)
@@ -205,28 +203,6 @@ class TestEnergyLevel:
                 )
                 alg = energy_level(n + lam + 1, m, params)
                 assert alg == pytest.approx(pic, rel=1e-12)
-
-
-class TestSo6:
-    def test_zero(self):
-        assert so6_casimir_eigenvalues(So6Labels(0, 0, 0)) == (0.0, 0.0, 0.0)
-
-    def test_unit(self):
-        assert so6_casimir_eigenvalues(So6Labels(1, 1, 1)) == (9.0, 288.0, 63.0)
-
-    def test_half(self):
-        k1, k2, k3 = so6_casimir_eigenvalues(So6Labels(0.5, 0.5, 0.5))
-        assert k1 == pytest.approx(15 / 4)
-        assert k2 == pytest.approx(90.0)
-        assert k3 == pytest.approx(315 / 16)
-
-    def test_ordering_violation(self):
-        with pytest.raises(OrderingViolation):
-            So6Labels(1, 2, 0)
-
-    def test_half_integer_validation(self):
-        with pytest.raises(ValueError):
-            So6Labels(1.2, 1.0, 0.5)
 
 
 class TestYcmEnergy:

@@ -405,11 +405,11 @@ def test_cli_import_does_not_load_scipy():
 # every name the package exports at top level
 PUBLIC = """
     RAW_TO_FACTORED_SCALE UnirrepSolution aux_exponents degeneracy_count energy_level
-    factored_roots solve_unirrep so6_casimir_eigenvalues structure_function_factored
+    factored_roots solve_unirrep structure_function_factored
     structure_function_raw ycm_energy kepler_from_oscillator oscillator_from_kepler
     spectrum_identity_check AlgebraReport DeformedOscillatorRep GeneratorMatrices
     build_generators build_rep verify_algebra AuxExponents ModelParams
-    QuantumNumbers So6Labels DeltaExponents delta_exponents jacobi_p kummer_poly
+    QuantumNumbers DeltaExponents delta_exponents jacobi_p kummer_poly
     EigenResult SturmLiouvilleProblem cylindrical_spectrum kepler_angular_spectrum
     kepler_radial_spectrum oscillator_angular_spectrum oscillator_radial_spectrum
     parabolic_quantization
@@ -549,9 +549,16 @@ class TestParameterTables:
         assert code == 2
         assert "lam" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, message", list(counts_out_of_range()))
+    @pytest.mark.parametrize("argv, message", [
+        *counts_out_of_range(),
+        *(pytest.param(["verify", "residuals", "--picture", picture, "--lam-eff", "-1"],
+                       "lam_eff must be finite and non-negative, got -1.0",
+                       id=f"verify residuals --picture {picture} --lam-eff -1")
+          for picture in ("kepler-radial", "osc-radial")),
+    ])
     def test_count_out_of_range_exit_2(self, argv, message, capsys):
-        # counts, degrees and the seed go through the rule labels and scales use
+        # counts, degrees, the seed and the radial exponent lam_eff go through
+        # the rule labels and scales use
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2

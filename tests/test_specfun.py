@@ -56,6 +56,10 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi_p(2, -1.0, 0.0, 0.3)
 
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="^n must be finite and non-negative, got -1$"):
+            jacobi_p(-1, 0.5, 0.5, 0.3)
+
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(min_value=2, max_value=20),
@@ -107,6 +111,10 @@ class TestKummer:
             kummer_poly(3, -1.0, 0.5)
         # pole outside the truncated series is fine
         assert kummer_poly(2, -5.0, 1.0) == pytest.approx(1 + 2 / 5 + 1 / 20)
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="^n must be finite and non-negative, got -1$"):
+            kummer_poly(-1, 2.0, 0.5)
 
     def test_kummer_ode_residual(self):
         """x W'' + (b - x) W' + n W = 0 via 4th-order finite differences.

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -356,13 +357,16 @@ class TestScaleValidation:
 
 
 class TestIndependentOfClosedForms:
-    """The radial-type solves read only the coefficient of the printed
-    equation, never the closed-form exponents the oracles use: shifting those
-    exponents leaves every solve bitwise as it was, and fails the oracle
-    comparison."""
+    """Every solve reads only the end coefficients of the printed equation,
+    never the closed-form exponents the oracles use: shifting those exponents
+    leaves every solve bitwise as it was, and fails the oracle comparison."""
 
     RUNS = {
         "kepler-radial": lambda: kepler_radial_spectrum(1.3, TestRefinement.P, 5, 2000).richardson,
+        "kepler-angular": lambda: kepler_angular_spectrum(
+            0.5, 1.0, TestRefinement.P, 5, 2000).richardson,
+        "osc-angular": lambda: oscillator_angular_spectrum(
+            0.5, 0.0, 2.0, 1.0, 1.0, 5, 2000).richardson,
         "osc-radial": lambda: oscillator_radial_spectrum(12.0, 1.3, 0.8, 5, 2000).richardson,
         "cylindrical": lambda: cylindrical_spectrum(1.0, 2.5, 0.7, 1.1, 5, 2000).richardson,
         "parabolic": lambda: [l.energy for l in parabolic_quantization(
@@ -371,7 +375,7 @@ class TestIndependentOfClosedForms:
 
     @staticmethod
     def shift_exponents(monkeypatch):
-        for name in ("shifted_exponent", "exponent_from_separation"):
+        for name in ("shifted_exponent", "exponent_from_separation", "effective_exponent"):
             real = getattr(spectra, name)
             monkeypatch.setattr(spectra, name,
                                 lambda *args, real=real, **kw: real(*args, **kw) + 1e-3)
@@ -383,9 +387,13 @@ class TestIndependentOfClosedForms:
         assert np.array_equal(self.RUNS[picture](), base)
 
     def test_shifted_oracle_fails_the_ode_check(self, monkeypatch, capsys):
-        assert cli.main(["verify", "ode", "--picture", "cylindrical"]) == 0
+        def codes():
+            return [cli.main(["verify", "ode", "--picture", picture])
+                    for picture in ("cylindrical", "kepler-angular", "osc-angular")]
+
+        assert codes() == [0, 0, 0]
         self.shift_exponents(monkeypatch)
-        assert cli.main(["verify", "ode", "--picture", "cylindrical"]) == 4
+        assert codes() == [4, 4, 4]
 
 
 def bisection(problem, k, n):
@@ -463,6 +471,33 @@ class TestRefinement:
         for problem, levels, res in solves:
             want = reference(problem, levels, 2 * problem.mesh_size + 1)
             np.testing.assert_allclose(res.eigenvalues, want, rtol=1e-12, atol=0)
+
+    # printed polar operator of each angular picture: (q1, q2) at its labels
+    # and couplings, q = z(z+1) + f*coupling/4, and the factor from its
+    # separation constant to the picture's value
+    FULL_ANGLE = {
+        "kepler-angular": (0.5 * 1.5 + 0.7, 1.0 * 2.0 + 0.3, 1.0),
+        "osc-angular": (0.5 * 1.5 + 0.5 * 2.0, 0.5 * 1.0, 4.0),
+    }
+
+    @pytest.mark.parametrize("picture, k, mesh", [c for c in GRID if c[0].endswith("angular")])
+    def test_half_angle_matches_the_full_angle_operator(self, picture, k, mesh):
+        """The half-angle solve equals, within 1e-14 of its top level, the
+        printed polar operator -chi'' + [3/4 csc^2 + 2 q2/(1 - cos)
+        + 2 q1/(1 + cos) - 9/4] chi on (0, pi), solved on the same meshes."""
+        q1, q2, factor = self.FULL_ANGLE[picture]
+
+        def potential(x):
+            c = np.cos(x)
+            return 0.75 / np.sin(x) ** 2 + 2.0 * q2 / (1.0 - c) + 2.0 * q1 / (1.0 + c) - 2.25
+
+        full = types.SimpleNamespace(domain=(0.0, math.pi), potential=potential)
+        coarse, fine = (factor * reference(full, k, n) for n in (mesh, 2 * mesh + 1))
+        res = self.PICTURES[picture](k, mesh)
+        top = abs(fine[-1])
+        np.testing.assert_allclose(res.eigenvalues, fine, rtol=0, atol=1e-14 * top)
+        np.testing.assert_allclose(res.richardson, (4.0 * fine - coarse) / 3.0,
+                                   rtol=0, atol=1e-14 * top)
 
     def test_nested_meshes_cancel_the_step_squared_term(self):
         """Meshes N and 2N+1 are nested, so the step halves exactly and the
@@ -587,9 +622,9 @@ class TestCoarseBracket:
 
     def test_misnumbered_coarse_levels_fall_back(self, monkeypatch):
         """Coarse levels shifted up by one lift onto disjoint intervals on
-        mesh N, but the Sturm count below the last is k + 1, not k."""
-        prob = spectra.SturmLiouvilleProblem(csc2=0.75, inv_1m_cos=1.3, inv_1p_cos=0.4,
-                                             const=-2.25, domain=(0.0, math.pi))
+        mesh N, but the Sturm count below the last is k + 1, not k.  The
+        problem is the polar operator at q2 = 0.65, q1 = 0.2."""
+        prob = spectra.SturmLiouvilleProblem(csc2=3.35, sec2=1.55, domain=(0.0, 0.5 * math.pi))
         real = spectra._eigenpairs
         meshes = []
 
@@ -636,7 +671,9 @@ class TestSturmLiouville:
             solve_lowest(prob, 5)
 
     def test_angular_terms(self):
-        # -chi'' + [3/4 csc^2 - 9/4] chi: chi = sin^(3/2) C_m, eigenvalues m(m+3)
-        prob = SturmLiouvilleProblem(csc2=0.75, const=-2.25, domain=(0.0, math.pi),
+        # -chi'' + [3/4 csc^2 + 3/4 sec^2] chi on (0, pi/2), four times
+        # -chi'' + [3/4 csc^2 theta - 9/4] chi plus 9 in theta = 2 phi:
+        # chi = sin^(3/2) C_m, eigenvalues 4 m(m+3) + 9 = (2m+3)^2
+        prob = SturmLiouvilleProblem(csc2=0.75, sec2=0.75, domain=(0.0, 0.5 * math.pi),
                                      mesh_size=2000)
-        assert np.allclose(solve_lowest(prob, 3), [0.0, 4.0, 10.0], atol=1e-3)
+        assert np.allclose(solve_lowest(prob, 3), [9.0, 25.0, 49.0], atol=4e-3)
