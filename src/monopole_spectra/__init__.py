@@ -24,7 +24,7 @@ _EXPORTS = {
         "build_rep", "verify_algebra",
     ),
     "params": ("AuxExponents", "ModelParams", "QuantumNumbers"),
-    "specfun": ("DeltaExponents", "delta_exponents", "jacobi_p", "kummer_poly"),
+    "specfun": ("end_exponent", "jacobi_p", "kummer_poly"),
     "spectra": (
         "EigenResult", "SturmLiouvilleProblem", "cylindrical_spectrum",
         "kepler_angular_spectrum", "kepler_radial_spectrum", "oscillator_angular_spectrum",

@@ -15,7 +15,8 @@ that reads it, with `params.require_positive` or `require_non_negative`.
 Reports are emitted as JSON (default), CSV, or plain text.  JSON carries the
 schema {version, timestamp, command, params, results, checks}; `params`
 echoes every resolved input of the command or picture, result rows carry
-{labels, value, oracle, abs_diff, rel_diff} (plus row-specific extras), and
+{labels, value, oracle, abs_diff, rel_diff} (plus row-specific extras; a
+row's rel_diff is the per-level measure its check takes the max of), and
 every check records its tolerance and oracle identity.
 
 Exit codes: 0 success, 2 invalid input (also inputs whose arithmetic leaves
@@ -94,14 +95,11 @@ def relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
 ROW_KEYS = ("labels", "value", "oracle", "abs_diff", "rel_diff")
 
 
-def row(labels: dict, value: float, oracle: float | None = None, **extra) -> dict:
-    r = {"labels": labels, "value": value, "oracle": oracle,
-         "abs_diff": None, "rel_diff": None}
-    if oracle is not None:
-        r["abs_diff"] = abs(value - oracle)
-        r["rel_diff"] = abs(value - oracle) / max(abs(oracle), 1e-300)
-    r.update(extra)
-    return r
+def row(labels: dict, value: float, oracle: float | None = None,
+        rel_diff: float | None = None, **extra) -> dict:
+    return {"labels": labels, "value": value, "oracle": oracle,
+            "abs_diff": None if oracle is None else abs(value - oracle),
+            "rel_diff": rel_diff, **extra}
 
 
 def check(name: str, measured: float, tolerance: float, oracle: str, **extra) -> dict:
@@ -252,10 +250,11 @@ def spectrum_osc8d(v: dict) -> tuple[list, list]:
     omega, hbar, T, K = v["omega"], v["hbar"], v["T"], v["K"]
     require_positive(omega=omega, hbar=hbar, levels=v["levels"])
     require_non_negative(lambda1=v["lambda1"], lambda2=v["lambda2"], T=T, K=K)
-    d = specfun.delta_exponents("oscillator", (v["lambda1"], v["lambda2"]), T, K, hbar)
+    l1, l2 = (specfun.end_exponent(2.0, v[name], z, hbar)
+              for name, z in (("lambda1", T), ("lambda2", K)))
     results = []
     for s in range(v["levels"]):
-        eps = specfun.oscillator_level(specfun.effective_exponent(s, T, K, d) + 2.0, omega, hbar)
+        eps = specfun.oscillator_level(specfun.effective_exponent(s, l1, l2) + 2.0, omega, hbar)
         results.append(row({"n_plus_m": s}, eps, degeneracy=s + 1))
     return results, []
 
@@ -321,10 +320,8 @@ def _parabolic_levels(v: dict) -> tuple:
 def ode_report(picture: str, levels: tuple) -> tuple[list, list]:
     got, want = levels
     rels = relative_errors(got, want)
-    results = [
-        row({"level": i}, float(g), float(w), rel_scaled=float(r))
-        for i, (g, w, r) in enumerate(zip(got, want, rels))
-    ]
+    results = [row({"level": i}, float(g), float(w), rel_diff=float(r))
+               for i, (g, w, r) in enumerate(zip(got, want, rels))]
     return results, [check(f"{picture}_vs_oracle", float(rels.max()), ODE_RTOL,
                            "closed-form spectrum")]
 

@@ -8,7 +8,9 @@ The level identifications used by `spectrum_identity_check`:
     euler            p = n + lam + 1            (through the duality map)
     cylindrical      p = n1 + n2 + (T+K)/2 + 1  (through the duality map)
 
-with the picture exponents substituted for the algebraic auxiliary exponents.
+with the picture exponents substituted for the algebraic auxiliary
+exponents: m_i = delta_i = l_i - z_i - 1, where l_i is the end exponent
+(`specfun.end_exponent`) of sector i at label z_i.
 The 8D pictures reach the 5D energy through `kepler_from_oscillator` itself,
 so the check tests that map as well as the level formulas.  The check is a
 formula identity: it does not say which algebraic sector (l4, T) a picture
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import energy_level
 from .errors import NonNegativeEnergy
 from .params import AuxExponents, ModelParams
-from .specfun import coulomb_energy, delta_exponents, effective_exponent, oscillator_level
+from .specfun import coulomb_energy, effective_exponent, end_exponent, oscillator_level
 
 
 def kepler_from_oscillator(
@@ -57,12 +59,13 @@ class IdentityReport:
     rel_diff: float
 
 
-# picture -> (sector labels, system, whether its levels count factor degrees n1, n2)
+# picture -> (sector labels, coupling factor f: 4 for the 5D c_i, 2 for the
+# 8D lam_i, whether its levels count factor degrees n1, n2)
 _PICTURES = {
-    "hyperspherical": (("J", "L"), "kepler", False),
-    "parabolic": (("J", "L"), "kepler", True),
-    "euler": (("T", "K"), "oscillator", False),
-    "cylindrical": (("T", "K"), "oscillator", True),
+    "hyperspherical": (("J", "L"), 4.0, False),
+    "parabolic": (("J", "L"), 4.0, True),
+    "euler": (("T", "K"), 2.0, False),
+    "cylindrical": (("T", "K"), 2.0, True),
 }
 
 
@@ -79,26 +82,26 @@ def spectrum_identity_check(picture: str, labels: dict, params: ModelParams) -> 
     """
     if picture not in _PICTURES:
         raise ValueError(f"unknown picture {picture!r}")
-    (a, b), variant, pair = _PICTURES[picture]
+    (a, b), f, pair = _PICTURES[picture]
     z1, z2 = labels[a], labels[b]
-    scale = 1.0 if variant == "kepler" else 2.0  # an 8D dual has lam_i = 2 c_i
-    couplings = (scale * params.c1, scale * params.c2)
-    d = delta_exponents(variant, couplings, z1, z2, params.hbar)
+    couplings = (4.0 / f * params.c1, 4.0 / f * params.c2)  # an 8D dual has lam_i = 2 c_i
+    l1, l2 = (end_exponent(f, c, z, params.hbar) for c, z in zip(couplings, (z1, z2)))
+    m = AuxExponents(l1 - z1 - 1.0, l2 - z2 - 1.0)  # m_i = delta_i
     if pair:
         n1, n2 = labels["n1"], labels["n2"]
-        N = effective_exponent(n1 + n2, z1, z2, d) + 2.0
+        N = effective_exponent(n1 + n2, l1, l2) + 2.0
         p = n1 + n2 + 0.5 * (z1 + z2) + 1.0
     else:
         n, lam = labels["n"], labels["lam"]
-        N = n + lam + 2.0 + 0.5 * (d.delta1 + d.delta2)
+        N = n + lam + 2.0 + 0.5 * (m.m1 + m.m2)
         p = n + lam + 1.0
-    if variant == "kepler":
+    if f == 4.0:
         e_pic = coulomb_energy(N, params)
     else:
         c0, e_dual, _, _ = kepler_from_oscillator(
             oscillator_level(N, 1.0, params.hbar), 1.0, *couplings)
         e_pic = e_dual * (params.c0 / c0) ** 2
-    e_alg = energy_level(p, AuxExponents(d.delta1, d.delta2), params)
+    e_alg = energy_level(p, m, params)
     rel = abs(e_pic - e_alg) / max(abs(e_alg), 1e-300)
     return IdentityReport(
         picture=picture, labels=dict(labels), p=p,

@@ -1,16 +1,20 @@
-"""Jacobi and polynomial Kummer functions, coupling-shifted exponents, the
-level formulas, and finite-difference residual checks of the closed-form
+"""Jacobi and polynomial Kummer functions, end exponents, the level
+formulas, and finite-difference residual checks of the closed-form
 wavefunctions against their separated ODEs.
 
 Each level formula is written once, here: `coulomb_energy` (5D),
 `oscillator_level` (8D), `sector_potential` (a sector's inverse-square
 coefficient q), `factor_principal_number` (one cylindrical or parabolic
-factor) and `parabolic_pair`.  `shifted_exponent` and
-`sector_potential` take a coupling with one factor f (`COUPLING_FACTOR`):
-4 for a 5D c_i at J or L, 2 for an 8D lam_i at T or K.
+factor) and `parabolic_pair`.  Beside `sector_potential` sits
+`end_exponent`, l = sqrt(4 q + 1) of the same sector's singular end, whose
+coefficient is a = l^2 - 1/4; both take a coupling with its factor f: 4 for
+a 5D c_i at J or L, 2 for an 8D lam_i at T or K.  Every closed form is set by
+one exponent per singular end: the angular ones are the envelope
+(1 + x)^((l1-1)/2) (1 - x)^((l2-1)/2) times P_m^(l2, l1)(x), and the
+radial-type ones share the confluent envelope e^(-x/2) x^a 1F1(-n; b; x),
+with a = (l-1)/2 and b = l + 1 in a cylindrical or parabolic factor.
 
-Each residual check builds its grid and its closed form (the radial-type ones
-share the confluent envelope e^(-x/2) x^a 1F1(-n; b; x)) and hands its printed
+Each residual check builds its grid and its closed form and hands its printed
 equation, a function of (x, f, f', f''), to one evaluator.  The evaluator
 takes the derivatives by centered 4th-order stencils on the uniform grid and
 excludes a fixed 5% of the grid per end (at least the stencil width) from the
@@ -23,7 +27,6 @@ numpy is imported only inside the functions that build arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, ParameterPole
@@ -79,42 +82,17 @@ def kummer_poly(n: int, b: float, x: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class DeltaExponents:
-    delta1: float
-    delta2: float
-
-
-# f of a coupling per variant: its shift is f * coupling / hbar^2 under the root
-COUPLING_FACTOR = {"kepler": 4.0, "oscillator": 2.0}
-
-
-def shifted_exponent(f: float, coupling: float, z: float, hbar: float = 1.0) -> float:
-    """delta = sqrt(f*coupling/hbar^2 + (2z+1)^2) - z - 1 (f from COUPLING_FACTOR)."""
-    return -1.0 + math.sqrt(f * coupling / hbar ** 2 + (2.0 * z + 1.0) ** 2) - z
-
-
 def sector_potential(f: float, coupling: float, z: float, hbar: float = 1.0) -> float:
     """q = z(z+1) + f*coupling/(4 hbar^2), the inverse-square coefficient of
-    one sector (f as in `shifted_exponent`)."""
+    one sector: f = 4 for a 5D c_i at J or L, f = 2 for an 8D lam_i at T or K."""
     return z * (z + 1.0) + 0.25 * f * coupling / hbar ** 2
 
 
-def delta_exponents(
-    variant: str,
-    couplings: tuple[float, float],
-    z1: float,
-    z2: float,
-    hbar: float = 1.0,
-) -> DeltaExponents:
-    """Coupling-shifted exponents of the angular/radial closed forms:
-    "kepler" (f = 4, labels (J, L)) or "oscillator" (f = 2, labels (T, K))."""
-    c1, c2 = couplings
-    require_non_negative(c1=c1, c2=c2)
-    if variant not in COUPLING_FACTOR:
-        raise ValueError(f"unknown variant {variant!r}")
-    f = COUPLING_FACTOR[variant]
-    return DeltaExponents(shifted_exponent(f, c1, z1, hbar), shifted_exponent(f, c2, z2, hbar))
+def end_exponent(f: float, coupling: float, z: float, hbar: float = 1.0) -> float:
+    """l = sqrt(f*coupling/hbar^2 + (2z+1)^2) = sqrt(4 q + 1) of one sector's
+    singular end, q = `sector_potential` at the same f; the end's coefficient
+    is a = l^2 - 1/4."""
+    return math.sqrt(f * coupling / hbar ** 2 + (2.0 * z + 1.0) ** 2)
 
 
 def separation_constant(lam_eff: float) -> float:
@@ -127,9 +105,10 @@ def exponent_from_separation(sep: float) -> float:
     return 0.5 * (-3.0 + math.sqrt(9.0 + 4.0 * sep))
 
 
-def effective_exponent(m: int, z1: float, z2: float, deltas: DeltaExponents) -> float:
-    """Exponent l with Lambda = l(l+3) for the degree-m angular solution."""
-    return m + 0.5 * (z1 + z2 + deltas.delta1 + deltas.delta2)
+def effective_exponent(m, l1: float, l2: float):
+    """m + (l1 + l2)/2 - 1, the exponent l with Lambda = l(l+3) of the
+    degree-m angular solution whose ends have exponents l1 and l2."""
+    return m + 0.5 * (l1 + l2) - 1.0
 
 
 def coulomb_energy(N, params: ModelParams):
@@ -142,9 +121,10 @@ def oscillator_level(N, omega: float, hbar: float = 1.0):
     return 2.0 * hbar * omega * N
 
 
-def factor_principal_number(n, delta: float, z: float):
-    """n + (delta + z + 2)/2, one cylindrical or parabolic factor's principal number."""
-    return n + 0.5 * (delta + z + 2.0)
+def factor_principal_number(n, l: float):
+    """n + (l + 1)/2, one cylindrical or parabolic factor's principal number
+    at end exponent l."""
+    return n + 0.5 * (l + 1.0)
 
 
 def parabolic_pair(N1: float, N2: float, params: ModelParams) -> tuple[float, float, float]:
@@ -219,6 +199,13 @@ def exp_cutoff(kappa: float, power: float, cut: float) -> float:
     return (2.0 / kappa) * target + x_peak
 
 
+# picture -> (coupling factor f, names of the labels and couplings)
+_ANGULAR = {
+    "kepler_hyperspherical": (4.0, ("J", "L", "c1", "c2")),
+    "oscillator_euler": (2.0, ("T", "K", "lambda1", "lambda2")),
+}
+
+
 def angular_residual(
     picture: str,
     lam: float,
@@ -234,30 +221,31 @@ def angular_residual(
     lam = m + z1 + z2 at Jacobi degree m, as `verify residuals --lam` reads it
     (`duality.spectrum_identity_check`'s lam is m + (z1+z2)/2); raises
     DomainError when the degree lam - z1 - z2 is not a non-negative integer.
+    The labels and couplings are checked under the picture's names.
     """
     import numpy as np
 
+    if picture not in _ANGULAR:
+        raise ValueError(f"unknown picture {picture!r}")
+    # both pictures share the sin^3-measure operator, up to the coupling factor f
+    f, names = _ANGULAR[picture]
+    c1, c2 = couplings
     require_positive(hbar=hbar)
+    require_non_negative(**dict(zip(names, (z1, z2, c1, c2))))
     mf = lam - z1 - z2
     m = round(mf)
     if mf < -1e-9 or abs(mf - m) > 1e-9:
         raise DomainError(
             f"lam={lam} gives the degree lam - z1 - z2 = {mf}, which must be a "
             f"non-negative integer")
-    variant = {"kepler_hyperspherical": "kepler", "oscillator_euler": "oscillator"}.get(picture)
-    if variant is None:
-        raise ValueError(f"unknown picture {picture!r}")
-    deltas = delta_exponents(variant, couplings, z1, z2, hbar)
-    d1, d2 = deltas.delta1, deltas.delta2
-    # both pictures share the sin^3-measure operator, up to the coupling factor f
-    f, (c1, c2) = COUPLING_FACTOR[variant], couplings
     q1, q2 = sector_potential(f, c1, z1, hbar), sector_potential(f, c2, z2, hbar)
-    sep = separation_constant(effective_exponent(m, z1, z2, deltas))
+    l1, l2 = end_exponent(f, c1, z1, hbar), end_exponent(f, c2, z2, hbar)
+    sep = separation_constant(effective_exponent(m, l1, l2))
 
     def closed_form(th):
         x = np.cos(th)
-        pj = np.array([jacobi_p(m, d2 + z2 + 1.0, d1 + z1 + 1.0, xi) for xi in x])
-        return (1.0 + x) ** (0.5 * (d1 + z1)) * (1.0 - x) ** (0.5 * (d2 + z2)) * pj
+        pj = np.array([jacobi_p(m, l2, l1, xi) for xi in x])
+        return (1.0 + x) ** (0.5 * (l1 - 1.0)) * (1.0 - x) ** (0.5 * (l2 - 1.0)) * pj
 
     def ode(t, f, f1, f2):
         c = np.cos(t)
@@ -315,10 +303,14 @@ def parabolic_pair_parameters(
     n1: int, n2: int, J: float, L: float, params: ModelParams
 ) -> tuple[float, float, float]:
     """(kappa, lam_tilde, E) of the quantized parabolic state (n1, n2)."""
-    require_non_negative(n1=n1, n2=n2)
-    d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
-    return parabolic_pair(factor_principal_number(n1, d.delta1, J),
-                          factor_principal_number(n2, d.delta2, L), params)
+    require_non_negative(n1=n1, n2=n2, J=J, L=L)
+    return parabolic_pair(
+        factor_principal_number(n1, end_exponent(4.0, params.c1, J, params.hbar)),
+        factor_principal_number(n2, end_exponent(4.0, params.c2, L, params.hbar)), params)
+
+
+# sector -> (sign of its separation constant, names of its label and coupling)
+_PARABOLIC = {"mu": (1.0, "J", "c1"), "nu": (-1.0, "L", "c2")}
 
 
 def parabolic_residual(
@@ -331,22 +323,21 @@ def parabolic_residual(
     params: ModelParams,
     n_points: int = 2001,
 ) -> float:
-    """Residual of one parabolic-coordinate equation ("mu" or "nu")."""
-    require_non_negative(n=n)
-    hb2 = params.hbar ** 2
-    if sector == "mu":
-        sep = 0.5 * params.hbar * lam_tilde
-    elif sector == "nu":
-        sep = -0.5 * params.hbar * lam_tilde
-    else:
+    """Residual of one parabolic-coordinate equation: "mu" at label z = J and
+    coupling c1, or "nu" at z = L and c2, checked under those names."""
+    if sector not in _PARABOLIC:
         raise ValueError(f"unknown sector {sector!r}")
-    d = shifted_exponent(4.0, coupling, z, params.hbar)
-    a = 0.5 * (d + z)
+    sign, label, name = _PARABOLIC[sector]
+    require_non_negative(n=n, **{label: z, name: coupling})
+    hb2 = params.hbar ** 2
+    sep = 0.5 * sign * params.hbar * lam_tilde
+    l = end_exponent(4.0, coupling, z, params.hbar)
+    a = 0.5 * (l - 1.0)
     energy = -hb2 * kappa ** 2 / 2.0
     q = sector_potential(4.0, coupling, z, params.hbar)
     return _max_residual(
         RADIAL_EDGE, exp_cutoff(kappa, a + n, ENVELOPE_CUT), n_points,
-        lambda x: _confluent(kappa * x, n, a, d + z + 2.0),
+        lambda x: _confluent(kappa * x, n, a, l + 1.0),
         lambda x, f, f1, f2: (
             x * f2 + 2.0 * f1 + (energy / (2.0 * hb2)) * x * f - q / x * f
             + (params.c0 / (2.0 * hb2)) * f + sep * f))
@@ -360,13 +351,13 @@ def cylindrical_residual(
     n_points: int = 2001,
 ) -> float:
     """Residual of one 4D-factor equation in the dimensionless variable."""
-    require_non_negative(n=n)
+    require_non_negative(n=n, z=z, lam_coupling=coupling)
     require_positive(hbar=hbar)
-    d = shifted_exponent(2.0, coupling, z, hbar)
-    a = 0.5 * (d + z)
-    e = factor_principal_number(n, d, z)
+    l = end_exponent(2.0, coupling, z, hbar)
+    a = 0.5 * (l - 1.0)
+    e = factor_principal_number(n, l)
     q = sector_potential(2.0, coupling, z, hbar)
     return _max_residual(
         RADIAL_EDGE, exp_cutoff(1.0, a + n, ENVELOPE_CUT), n_points,
-        lambda x: _confluent(x, n, a, d + z + 2.0),
+        lambda x: _confluent(x, n, a, l + 1.0),
         lambda x, f, f1, f2: x * f2 + 2.0 * f1 - (q / x + 0.25 * x - e) * f)

@@ -42,9 +42,9 @@ import numpy as np
 from .errors import ConvergenceFailure
 from .params import ModelParams, require_non_negative, require_positive
 from .specfun import (
-    coulomb_energy, delta_exponents, effective_exponent, exp_cutoff, exponent_from_separation,
+    coulomb_energy, effective_exponent, end_exponent, exp_cutoff, exponent_from_separation,
     factor_principal_number, oscillator_level, parabolic_pair, parabolic_pair_parameters,
-    sector_potential, separation_constant, shifted_exponent,
+    sector_potential, separation_constant,
 )
 
 ENVELOPE_CUT = 1e-14
@@ -314,8 +314,10 @@ def kepler_angular_spectrum(
 
 def kepler_angular_oracle(J: float, L: float, params: ModelParams, k: int = 5) -> np.ndarray:
     require_positive(levels=k)
-    d = delta_exponents("kepler", (params.c1, params.c2), J, L, params.hbar)
-    return separation_constant(effective_exponent(np.arange(k), J, L, d))
+    require_non_negative(J=J, L=L)
+    return separation_constant(effective_exponent(
+        np.arange(k), end_exponent(4.0, params.c1, J, params.hbar),
+        end_exponent(4.0, params.c2, L, params.hbar)))
 
 
 # ------------------------------------------------------------ 8D oscillator
@@ -351,9 +353,10 @@ def oscillator_angular_spectrum(
 def oscillator_angular_oracle(
     T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
+    require_non_negative(T=T, K=K, lam1=lam1, lam2=lam2)
     require_positive(hbar=hbar, levels=k)
-    d = delta_exponents("oscillator", (lam1, lam2), T, K, hbar)
-    return 4.0 * separation_constant(effective_exponent(np.arange(k), T, K, d))
+    return 4.0 * separation_constant(effective_exponent(
+        np.arange(k), end_exponent(2.0, lam1, T, hbar), end_exponent(2.0, lam2, K, hbar)))
 
 
 def cylindrical_spectrum(
@@ -371,8 +374,10 @@ def cylindrical_oracle(
     z: float, lam_coupling: float, omega: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
     require_positive(hbar=hbar, omega=omega, levels=k)
-    d = shifted_exponent(2.0, lam_coupling, z, hbar)
-    return oscillator_level(factor_principal_number(np.arange(k), d, z), omega, hbar)
+    require_non_negative(z=z, lam_coupling=lam_coupling)
+    return oscillator_level(
+        factor_principal_number(np.arange(k), end_exponent(2.0, lam_coupling, z, hbar)),
+        omega, hbar)
 
 
 # ------------------------------------------------------------ parabolic pair

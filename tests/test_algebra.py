@@ -190,12 +190,13 @@ class TestEnergyLevel:
 
     def test_matches_hyperspherical_formula_under_identification(self):
         """p = n + lam + 1 with the picture exponents as auxiliary exponents."""
-        from monopole_spectra.specfun import delta_exponents
+        from monopole_spectra.specfun import end_exponent
 
         params = ModelParams(1.7, 0.5, 1.5, hbar=0.9)
-        d = delta_exponents("kepler", (params.c1, params.c2), 0.0, 0.0, params.hbar)
-        m = AuxExponents(d.delta1, d.delta2)
-        dbar = 0.5 * (d.delta1 + d.delta2)
+        # at J = L = 0 the picture exponents are delta_i = l_i - 1
+        m = AuxExponents(*(end_exponent(4.0, c, 0.0, params.hbar) - 1.0
+                           for c in (params.c1, params.c2)))
+        dbar = 0.5 * (m.m1 + m.m2)
         for n in range(10):
             for lam in range(10):
                 pic = -params.c0 ** 2 / (

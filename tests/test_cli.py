@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monopole_spectra.cli import COMMANDS, Pictures, main
+from monopole_spectra.cli import (
+    COMMANDS, COUPLINGS, J_L, LAMBDAS, ODE, ODE_RTOL, RESIDUALS, SECTOR, T_K, Pictures, main,
+    relative_errors,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -204,6 +207,15 @@ class TestVerifyCommands:
         checks = {c["name"]: c for c in env["checks"]}
         assert not checks["duality_round_trip"]["passed"]
         assert checks["spectrum_identity"]["passed"]
+
+    @pytest.mark.parametrize("picture", list(ODE.table))
+    def test_ode_rows_carry_the_check_measure(self, picture, capsys):
+        code, env = run_json(["verify", "ode", "--picture", picture], capsys)
+        assert code == 0
+        rows = env["results"]
+        rels = relative_errors([r["value"] for r in rows], [r["oracle"] for r in rows])
+        assert [r["rel_diff"] for r in rows] == list(rels)
+        assert max(rels) == env["checks"][0]["measured"] <= ODE_RTOL
 
     def test_residuals(self, capsys):
         code, env = run_json(
@@ -409,7 +421,7 @@ PUBLIC = """
     structure_function_raw ycm_energy kepler_from_oscillator oscillator_from_kepler
     spectrum_identity_check AlgebraReport DeformedOscillatorRep GeneratorMatrices
     build_generators build_rep verify_algebra AuxExponents ModelParams
-    QuantumNumbers DeltaExponents delta_exponents jacobi_p kummer_poly
+    QuantumNumbers end_exponent jacobi_p kummer_poly
     EigenResult SturmLiouvilleProblem cylindrical_spectrum kepler_angular_spectrum
     kepler_radial_spectrum oscillator_angular_spectrum oscillator_radial_spectrum
     parabolic_quantization
@@ -548,6 +560,20 @@ class TestParameterTables:
         code = main(["verify", "residuals", "--lam", "0", "--J", "1"])
         assert code == 2
         assert "lam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("picture, name, value", [
+        pytest.param(picture, p.name, value, id=f"verify residuals --picture {picture} "
+                                                f"--{p.name.replace('_', '-')} {value}")
+        for picture, (decls, _) in RESIDUALS.table.items() for p in decls
+        if p in [*J_L, *T_K, *SECTOR, *COUPLINGS, *LAMBDAS] for value in (-1.0, -0.1)])
+    def test_negative_residual_label_or_coupling_exit_2(self, picture, name, value, capsys):
+        # each is named under its own flag, never as another picture's
+        code = main(["verify", "residuals", "--picture", picture,
+                     "--" + name.replace("_", "-"), repr(value)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be finite and non-negative, got {value!r}\n"
 
     @pytest.mark.parametrize("argv, message", [
         *counts_out_of_range(),

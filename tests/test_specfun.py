@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_jacobi
 
-from monopole_spectra import ModelParams, delta_exponents, jacobi_p, kummer_poly
+from monopole_spectra import ModelParams, end_exponent, jacobi_p, kummer_poly
 from monopole_spectra.errors import DomainError, ParameterPole
 from monopole_spectra.specfun import (
-    COUPLING_FACTOR,
     angular_residual,
     cylindrical_residual,
     exp_cutoff,
@@ -20,7 +19,11 @@ from monopole_spectra.specfun import (
     parabolic_pair_parameters,
     parabolic_residual,
     sector_potential,
-    shifted_exponent,
+)
+from monopole_spectra.spectra import (
+    cylindrical_oracle,
+    kepler_angular_oracle,
+    oscillator_angular_oracle,
 )
 
 
@@ -134,27 +137,44 @@ class TestKummer:
         assert np.max(np.abs(res)) <= 1e-9 * max(1.0, np.max(np.abs(wm)))
 
 
-class TestDeltaExponents:
+class TestEndExponent:
     def test_zero_coupling_reduction(self):
-        for z in (0.0, 0.5, 1.0, 2.5):
-            d = delta_exponents("kepler", (0.0, 0.0), z, z)
-            assert d.delta1 == pytest.approx(z, abs=1e-12)
-            assert d.delta2 == pytest.approx(z, abs=1e-12)
+        for f in (4.0, 2.0):
+            for z in (0.0, 0.5, 1.0, 2.5):
+                assert end_exponent(f, 0.0, z) == 2.0 * z + 1.0
 
     def test_kepler_value(self):
-        assert delta_exponents("kepler", (2.0, 0.0), 0, 0).delta1 == pytest.approx(2.0)
+        assert end_exponent(4.0, 2.0, 0.0) == pytest.approx(3.0, rel=1e-15)
 
     def test_oscillator_value(self):
-        d = delta_exponents("oscillator", (4.0, 0.0), 0.5, 0.0)
-        assert d.delta1 == pytest.approx(math.sqrt(12) - 1.5, rel=1e-14)
+        assert end_exponent(2.0, 4.0, 0.5) == pytest.approx(math.sqrt(12), rel=1e-14)
+
+    # each reader of end exponents -> its coupling names and the call at couplings (x, y)
+    READERS = {
+        "kepler-angular-oracle": (("c1", "c2"), lambda x, y: kepler_angular_oracle(
+            0.5, 0.5, ModelParams(1.0, x, y), 3)),
+        "osc-angular-oracle": (("lam1", "lam2"), lambda x, y: oscillator_angular_oracle(
+            0.5, 0.5, x, y, 1.0, 3)),
+        "cylindrical-oracle": (("lam_coupling",), lambda x, y: cylindrical_oracle(
+            0.5, x, 1.0, 1.0, 3)),
+        "kepler-angular-residual": (("c1", "c2"), lambda x, y: angular_residual(
+            "kepler_hyperspherical", 1, 0.5, 0.5, couplings=(x, y))),
+        "osc-angular-residual": (("lambda1", "lambda2"), lambda x, y: angular_residual(
+            "oscillator_euler", 1, 0.5, 0.5, couplings=(x, y))),
+        "cylindrical-residual": (("lam_coupling",), lambda x, y: cylindrical_residual(
+            1, 0.5, x)),
+        "parabolic-residual": (("c1",), lambda x, y: parabolic_residual(
+            "mu", 0, 0.0, x, 0.5, 0.0, ModelParams(1.0))),
+    }
 
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("variant", sorted(COUPLING_FACTOR))
-    def test_rejects_coupling(self, variant, value):
-        for name, couplings in (("c1", (value, 0.0)), ("c2", (0.0, value))):
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_rejects_coupling(self, reader, value):
+        names, call = self.READERS[reader]
+        for name, couplings in zip(names, ((value, 0.0), (0.0, value))):
             with pytest.raises(ValueError,
                                match=f"^{name} must be finite and non-negative, got {value!r}$"):
-                delta_exponents(variant, couplings, 0.5, 0.5)
+                call(*couplings)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -163,23 +183,22 @@ class TestDeltaExponents:
         z=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
     )
     def test_monotone_in_coupling(self, c, dc, z):
-        d1 = delta_exponents("kepler", (c, 0.0), z, 0.0).delta1
-        d2 = delta_exponents("kepler", (c + dc, 0.0), z, 0.0).delta1
-        assert d2 > d1 >= z - 1e-12
+        l1 = end_exponent(4.0, c, z)
+        l2 = end_exponent(4.0, c + dc, z)
+        assert l2 > l1 >= 2.0 * z + 1.0 - 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(
-        variant=st.sampled_from(sorted(COUPLING_FACTOR)),
+        f=st.sampled_from([4.0, 2.0]),
         c=st.floats(min_value=0.0, max_value=50.0),
         z=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
         hbar=st.floats(min_value=0.1, max_value=10.0),
     )
-    def test_sector_potential_shares_the_coupling_factor(self, variant, c, z, hbar):
-        """(delta + z + 1)^2 = 4 q + 1 when both take the variant's f."""
-        f = COUPLING_FACTOR[variant]
-        d = shifted_exponent(f, c, z, hbar)
+    def test_sector_potential_shares_the_coupling_factor(self, f, c, z, hbar):
+        """l^2 = 4 q + 1 when both take the same f."""
+        l = end_exponent(f, c, z, hbar)
         q = sector_potential(f, c, z, hbar)
-        assert (d + z + 1.0) ** 2 == pytest.approx(4.0 * q + 1.0, rel=1e-12)
+        assert l ** 2 == pytest.approx(4.0 * q + 1.0, rel=1e-12)
 
 
 class TestParabolicPair:

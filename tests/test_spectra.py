@@ -375,7 +375,7 @@ class TestIndependentOfClosedForms:
 
     @staticmethod
     def shift_exponents(monkeypatch):
-        for name in ("shifted_exponent", "exponent_from_separation", "effective_exponent"):
+        for name in ("end_exponent", "exponent_from_separation", "effective_exponent"):
             real = getattr(spectra, name)
             monkeypatch.setattr(spectra, name,
                                 lambda *args, real=real, **kw: real(*args, **kw) + 1e-3)
