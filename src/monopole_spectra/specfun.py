@@ -15,7 +15,9 @@ radial-type ones share the confluent envelope e^(-x/2) x^a 1F1(-n; b; x),
 with a = (l-1)/2 and b = l + 1 in a cylindrical or parabolic factor.
 
 Each residual check builds its grid and its closed form and hands its printed
-equation, a function of (x, f, f', f''), to one evaluator.  The evaluator
+equation, a function of (x, f, f', f''), to one evaluator.  `jacobi_p` takes a
+float or an array, so an angular closed form is one array pass over the grid;
+the confluent ones still call `kummer_poly` once per grid point.  The evaluator
 takes the derivatives by centered 4th-order stencils on the uniform grid and
 excludes a fixed 5% of the grid per end (at least the stencil width) from the
 max: the closed forms carry fractional powers of the coordinate at the
@@ -44,15 +46,15 @@ RADIAL_EDGE = 1e-3
 ENVELOPE_CUT = 1e-12
 
 
-def jacobi_p(n: int, a: float, b: float, x: float) -> float:
-    """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence."""
-    # the rule is called only on failure: this runs once per grid point
-    if not 0 <= n < math.inf:
-        require_non_negative(n=n)
+def jacobi_p(n: int, a: float, b: float, x):
+    """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence, at a float
+    x or elementwise on an array x: the operations are the same in the same
+    order, so each array value is bitwise the float call's."""
+    require_non_negative(n=n)
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
     if n == 0:
-        return 1.0
+        return x ** 0.0  # 1.0, or ones in the shape of x
     p_prev = 1.0
     p_cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     for k in range(2, n + 1):
@@ -68,7 +70,7 @@ def jacobi_p(n: int, a: float, b: float, x: float) -> float:
 
 def kummer_poly(n: int, b: float, x: float) -> float:
     """Confluent hypergeometric 1F1(-n, b; x), a degree-n polynomial."""
-    # the rule is called only on failure, as in `jacobi_p`
+    # the rule is called only on failure: this runs once per grid point
     if not 0 <= n < math.inf:
         require_non_negative(n=n)
     bk = round(b)
@@ -244,8 +246,8 @@ def angular_residual(
 
     def closed_form(th):
         x = np.cos(th)
-        pj = np.array([jacobi_p(m, l2, l1, xi) for xi in x])
-        return (1.0 + x) ** (0.5 * (l1 - 1.0)) * (1.0 - x) ** (0.5 * (l2 - 1.0)) * pj
+        return ((1.0 + x) ** (0.5 * (l1 - 1.0)) * (1.0 - x) ** (0.5 * (l2 - 1.0))
+                * jacobi_p(m, l2, l1, x))
 
     def ode(t, f, f1, f2):
         c = np.cos(t)

@@ -224,7 +224,9 @@ def _refine(
 ) -> np.ndarray:
     """Eigenvalues on mesh n from the eigenpairs of a coarser mesh: one inverse
     iteration solve per level, shifted at its coarse value and started from its
-    coarse eigenvector interpolated onto mesh n, then the Rayleigh quotient."""
+    coarse eigenvector interpolated onto mesh n, then the Rayleigh quotient.
+    A level whose coarse or refined value is not finite raises OverflowError,
+    before the refined levels are checked to rise."""
     from scipy.linalg.lapack import dgtsv
 
     diag, off, v, h = _tridiagonal(problem, n)
@@ -232,6 +234,12 @@ def _refine(
     for j, (shift, z) in enumerate(zip(coarse, _interpolate(vectors, n))):
         z = dgtsv(off, diag - shift, off, z, overwrite_d=1, overwrite_b=1)[3]
         fine[j] = _rayleigh(z, v, h)[0]
+    finite = np.isfinite(coarse) & np.isfinite(fine)
+    if not np.all(finite):
+        j = int(np.argmin(finite))
+        raise OverflowError(
+            f"level {j}: the Richardson pair ({coarse[j]:.16g}, {fine[j]:.16g}) on meshes "
+            f"({vectors.shape[1]}, {n}) is not finite")
     rising = np.diff(fine) > 0
     if not np.all(rising):
         j = int(np.argmin(rising)) + 1
@@ -286,19 +294,20 @@ def _end_coefficient(f: float, coupling: float, z: float, hbar: float) -> float:
 # ----------------------------------------------------------------- 5D Kepler
 
 def kepler_radial_spectrum(
-    lam: float, params: ModelParams, k: int = 5, mesh: int = 2000
+    Lambda: float, params: ModelParams, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k bound-state energies of the 5D radial equation at separation
-    constant lam >= 0: under x = y^2, chi = (2y)^(1/2) phi, the radial-type
-    operator at a = 4 lam + 35/4, with E_n = coulomb_energy(N_n)."""
-    require_non_negative(lam=lam)
-    return _radial_solve(4.0 * lam + 35.0 / 4.0, k, mesh).scaled(
+    constant Lambda >= 0: under x = y^2, chi = (2y)^(1/2) phi, the radial-type
+    operator at a = 4 Lambda + 35/4, with E_n = coulomb_energy(N_n)."""
+    require_non_negative(Lambda=Lambda)
+    return _radial_solve(4.0 * Lambda + 35.0 / 4.0, k, mesh).scaled(
         lambda N: coulomb_energy(N, params))
 
 
-def kepler_radial_oracle(lam: float, params: ModelParams, k: int = 5) -> np.ndarray:
+def kepler_radial_oracle(Lambda: float, params: ModelParams, k: int = 5) -> np.ndarray:
     require_positive(levels=k)
-    return coulomb_energy(np.arange(k) + exponent_from_separation(lam) + 2.0, params)
+    require_non_negative(Lambda=Lambda)
+    return coulomb_energy(np.arange(k) + exponent_from_separation(Lambda) + 2.0, params)
 
 
 def kepler_angular_spectrum(
@@ -323,40 +332,43 @@ def kepler_angular_oracle(J: float, L: float, params: ModelParams, k: int = 5) -
 # ------------------------------------------------------------ 8D oscillator
 
 def oscillator_radial_spectrum(
-    gamma: float, omega: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
+    Gamma: float, omega: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
 ) -> EigenResult:
     """Lowest k energies of the 8D radial equation at separation constant
-    gamma >= 0: under u = (hbar / omega)^(1/2) t, chi = t^(7/2) R, the
-    radial-type operator at a = gamma + 35/4."""
-    require_non_negative(gamma=gamma)
+    Gamma >= 0: under u = (hbar / omega)^(1/2) t, chi = t^(7/2) R, the
+    radial-type operator at a = Gamma + 35/4."""
+    require_non_negative(Gamma=Gamma)
     require_positive(hbar=hbar, omega=omega)
-    return _radial_solve(gamma + 35.0 / 4.0, k, mesh).scaled(
+    return _radial_solve(Gamma + 35.0 / 4.0, k, mesh).scaled(
         lambda N: oscillator_level(N, omega, hbar))
 
 
-def oscillator_radial_oracle(gamma: float, omega: float, hbar: float = 1.0, k: int = 5) -> np.ndarray:
+def oscillator_radial_oracle(Gamma: float, omega: float, hbar: float = 1.0, k: int = 5) -> np.ndarray:
     require_positive(hbar=hbar, omega=omega, levels=k)
-    g = exponent_from_separation(gamma / 4.0)
+    require_non_negative(Gamma=Gamma)
+    g = exponent_from_separation(Gamma / 4.0)
     return oscillator_level(np.arange(k) + g + 2.0, omega, hbar)
 
 
 def oscillator_angular_spectrum(
-    T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5, mesh: int = 2000
+    T: float, K: float, lambda1: float, lambda2: float, hbar: float = 1.0, k: int = 5,
+    mesh: int = 2000
 ) -> EigenResult:
     """Lowest k values Gamma = nu - 9 of the 8D polar equation at labels (T, K)."""
-    require_non_negative(T=T, K=K, lam1=lam1, lam2=lam2)
+    require_non_negative(T=T, K=K, lambda1=lambda1, lambda2=lambda2)
     require_positive(hbar=hbar)
-    return _angular_solve(_end_coefficient(2.0, lam1, T, hbar),
-                          _end_coefficient(2.0, lam2, K, hbar), k, mesh).scaled(lambda nu: nu - 9.0)
+    return _angular_solve(_end_coefficient(2.0, lambda1, T, hbar),
+                          _end_coefficient(2.0, lambda2, K, hbar),
+                          k, mesh).scaled(lambda nu: nu - 9.0)
 
 
 def oscillator_angular_oracle(
-    T: float, K: float, lam1: float, lam2: float, hbar: float = 1.0, k: int = 5
+    T: float, K: float, lambda1: float, lambda2: float, hbar: float = 1.0, k: int = 5
 ) -> np.ndarray:
-    require_non_negative(T=T, K=K, lam1=lam1, lam2=lam2)
+    require_non_negative(T=T, K=K, lambda1=lambda1, lambda2=lambda2)
     require_positive(hbar=hbar, levels=k)
     return 4.0 * separation_constant(effective_exponent(
-        np.arange(k), end_exponent(2.0, lam1, T, hbar), end_exponent(2.0, lam2, K, hbar)))
+        np.arange(k), end_exponent(2.0, lambda1, T, hbar), end_exponent(2.0, lambda2, K, hbar)))
 
 
 def cylindrical_spectrum(

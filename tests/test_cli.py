@@ -306,6 +306,12 @@ class TestInputBoundary:
         ("spectrum osc8d --hbar 1e-300 --lambda1 1", "spectrum osc8d"),
         # l4 (l4 + 2) overflows, so m1 is not finite: no table of -0 energies
         ("spectrum kepler5d --c2 1e-300 --l4 1e+300 --T 1", "spectrum kepler5d"),
+        # the finite coarse levels refine to nan or inf: no ordering to check
+        ("verify ode --picture kepler-radial --Lambda 1e+150", "verify ode --picture kepler-radial"),
+        ("verify ode --picture osc-radial --Gamma 1e+150", "verify ode --picture osc-radial"),
+        ("verify ode --picture kepler-angular --c1 1e+150", "verify ode --picture kepler-angular"),
+        ("verify ode --picture parabolic --c1 1e+150", "verify ode --picture parabolic"),
+        ("verify ode --picture osc-angular --lambda1 1e+150", "verify ode --picture osc-angular"),
     ])
     def test_arithmetic_out_of_range_exit_2(self, argv, label, capsys):
         # finite flags whose arithmetic overflows or divides by an underflow
@@ -574,6 +580,20 @@ class TestParameterTables:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {name} must be finite and non-negative, got {value!r}\n"
+
+    @pytest.mark.parametrize("picture, name", [
+        pytest.param(picture, p.name, id=f"verify ode --picture {picture} "
+                                         f"--{p.name.replace('_', '-')} -1")
+        for picture, (decls, _) in ODE.table.items() for p in decls
+        if p.type is float and p.name not in ("c0", "hbar", "omega")])
+    def test_negative_ode_input_is_named_by_its_flag(self, picture, name, capsys):
+        # each is named under its own flag: Lambda, Gamma, lambda1 and lambda2 too
+        code = main(["verify", "ode", "--picture", picture,
+                     "--" + name.replace("_", "-"), "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be finite and non-negative, got -1.0\n"
 
     @pytest.mark.parametrize("argv, message", [
         *counts_out_of_range(),

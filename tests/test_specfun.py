@@ -36,12 +36,17 @@ class TestJacobi:
         assert jacobi_p(1, 1, 1, 0.5) == pytest.approx(1.0, rel=1e-15)
 
     def test_against_scipy(self):
+        grid = np.linspace(-1, 1, 9)
         for n in range(8):
             for a, b in [(0.0, 0.0), (1.5, 0.7), (2.236, 2.236), (-0.3, 4.0)]:
-                for x in np.linspace(-1, 1, 9):
+                for x in grid:
                     assert jacobi_p(n, a, b, x) == pytest.approx(
                         float(eval_jacobi(n, a, b, x)), rel=1e-11, abs=1e-11
                     )
+                # on an array x: x's shape, and bitwise the per-point values
+                values = jacobi_p(n, a, b, grid)
+                assert values.shape == grid.shape
+                assert values.tobytes() == np.array([jacobi_p(n, a, b, x) for x in grid]).tobytes()
 
     def test_orthogonality_by_quadrature(self):
         a, b = 0.5, 1.5
@@ -153,7 +158,7 @@ class TestEndExponent:
     READERS = {
         "kepler-angular-oracle": (("c1", "c2"), lambda x, y: kepler_angular_oracle(
             0.5, 0.5, ModelParams(1.0, x, y), 3)),
-        "osc-angular-oracle": (("lam1", "lam2"), lambda x, y: oscillator_angular_oracle(
+        "osc-angular-oracle": (("lambda1", "lambda2"), lambda x, y: oscillator_angular_oracle(
             0.5, 0.5, x, y, 1.0, 3)),
         "cylindrical-oracle": (("lam_coupling",), lambda x, y: cylindrical_oracle(
             0.5, x, 1.0, 1.0, 3)),

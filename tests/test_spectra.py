@@ -305,20 +305,22 @@ class TestScaleValidation:
         with pytest.raises(ValueError, match=f"^omega must be finite and positive, got {omega!r}$"):
             self.CALLS[call](omega, 0.8)
 
-    # label or coupling name -> the solver called with x in its place
+    # label or coupling name -> the solver or oracle called with x in its place
     LABELS = {
-        "lam": lambda x: kepler_radial_spectrum(x, UNIT, 3, 500),
+        "Lambda": lambda x: kepler_radial_spectrum(x, UNIT, 3, 500),
         "J": lambda x: kepler_angular_spectrum(x, 0.5, UNIT, 3, 500),
         "L": lambda x: kepler_angular_spectrum(0.5, x, UNIT, 3, 500),
-        "gamma": lambda x: oscillator_radial_spectrum(x, 1.0, 1.0, 3, 500),
+        "Gamma": lambda x: oscillator_radial_spectrum(x, 1.0, 1.0, 3, 500),
         "T": lambda x: oscillator_angular_spectrum(x, 0.0, 2.0, 1.0, 1.0, 3, 500),
         "K": lambda x: oscillator_angular_spectrum(0.5, x, 2.0, 1.0, 1.0, 3, 500),
-        "lam1": lambda x: oscillator_angular_spectrum(0.5, 0.0, x, 1.0, 1.0, 3, 500),
-        "lam2": lambda x: oscillator_angular_spectrum(0.5, 0.0, 2.0, x, 1.0, 3, 500),
+        "lambda1": lambda x: oscillator_angular_spectrum(0.5, 0.0, x, 1.0, 1.0, 3, 500),
+        "lambda2": lambda x: oscillator_angular_spectrum(0.5, 0.0, 2.0, x, 1.0, 3, 500),
         "z": lambda x: cylindrical_spectrum(x, 2.5, 1.0, 1.0, 3, 500),
         "lam_coupling": lambda x: cylindrical_spectrum(1.0, x, 1.0, 1.0, 3, 500),
         "parabolic J": lambda x: parabolic_quantization(x, 0.0, UNIT, 1, 500),
         "parabolic L": lambda x: parabolic_quantization(0.0, x, UNIT, 1, 500),
+        "oracle Lambda": lambda x: kepler_radial_oracle(x, UNIT, 3),
+        "oracle Gamma": lambda x: oscillator_radial_oracle(x, 1.0, 1.0, 3),
     }
 
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
